@@ -5,6 +5,17 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "== go toolchain"
+# internal/sim/process.go needs iter.Pull and carries //go:build go1.23
+# (go.mod stays at 1.22). An older toolchain silently drops that file and
+# fails later with "undefined: spawn", so say what is wrong up front.
+gover=$(go env GOVERSION)
+minor=$(echo "$gover" | sed -n 's/^go1\.\([0-9][0-9]*\).*/\1/p')
+if [ -n "$minor" ] && [ "$minor" -lt 23 ]; then
+	echo "Go toolchain $gover is too old: process switches use iter.Pull, which needs go1.23 or newer" >&2
+	exit 1
+fi
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then

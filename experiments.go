@@ -233,16 +233,17 @@ func BestTreeBarrier(cfg Config, mech Mechanism, opts BarrierOptions) (BarrierRe
 	return best, nil
 }
 
-// attachChaos hooks the fault injector (a no-op at level 0) and the
-// strongest invariant checker the kernel allows: the transition oracle on
-// the sequential kernel, the post-run coherence check on the parallel one
-// (the oracle inspects every CPU's cache at transition time, which would
-// race across shards). checkChaos runs the returned check after the run.
+// attachChaos hooks the fault injector and the strongest invariant checker
+// the kernel allows: the transition oracle on the sequential kernel, the
+// post-run coherence check on the parallel one (the oracle inspects every
+// CPU's cache at transition time, which would race across shards).
+// checkChaos runs the returned check after the run. At level 0 it attaches
+// nothing and returns nil.
 func attachChaos(m *machine.Machine, seed uint64, level int) func() error {
-	chaos.Attach(m, chaos.Plan{Seed: seed, Level: level})
 	if level <= 0 {
 		return nil
 	}
+	chaos.Attach(m, chaos.Plan{Seed: seed, Level: level})
 	if m.Cfg.Engine == "parallel" {
 		return m.CheckCoherence
 	}

@@ -67,9 +67,24 @@ func EscapeGatePackages(mod *Module) []string {
 
 // escSite is one compiler-reported heap site.
 type escSite struct {
-	rel       string // file path relative to the module root
+	// rel is the file path relative to the module root, or $GOROOT/src/...
+	// for standard-library code the compiler inlined into a gated package
+	// (iter.Pull in internal/sim), so the baseline does not depend on where
+	// the toolchain is installed.
+	rel       string
 	line, col int
 	msg       string
+}
+
+// gorootPrefix marks a site file under the toolchain's GOROOT.
+const gorootPrefix = "$GOROOT/"
+
+// path returns the site's file on this host.
+func (s escSite) path(root, goroot string) string {
+	if rest, ok := strings.CutPrefix(s.rel, gorootPrefix); ok {
+		return filepath.Join(goroot, filepath.FromSlash(rest))
+	}
+	return filepath.Join(root, filepath.FromSlash(s.rel))
 }
 
 // key is the canonical baseline-entry form of the site.
@@ -82,6 +97,17 @@ func (s escSite) key() string {
 // colon is stripped so both forms canonicalize identically.
 var escapeLine = regexp.MustCompile(`^([^\s:]+\.go):(\d+):(\d+): (.*?):?$`)
 
+// goEnvGOROOT asks the go command that builds root for its GOROOT.
+func goEnvGOROOT(root string) (string, error) {
+	cmd := exec.Command("go", "env", "GOROOT")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return "", fmt.Errorf("go env GOROOT: %v", err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
 // CollectEscapes builds the given module-relative packages of root with
 // escape-analysis diagnostics enabled and returns the deduplicated, sorted
 // heap sites. The build cache replays compiler diagnostics, so warm runs
@@ -89,6 +115,10 @@ var escapeLine = regexp.MustCompile(`^([^\s:]+\.go):(\d+):(\d+): (.*?):?$`)
 func CollectEscapes(root string, packages []string) ([]escSite, error) {
 	if len(packages) == 0 {
 		return nil, nil
+	}
+	goroot, err := goEnvGOROOT(root)
+	if err != nil {
+		return nil, err
 	}
 	args := []string{"build", "-gcflags=-m -m"}
 	for _, p := range packages {
@@ -100,9 +130,17 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
+	return parseEscapes(string(out), goroot), nil
+}
+
+// parseEscapes extracts the deduplicated, sorted heap sites from the
+// compiler's -m -m output. Files under goroot are rewritten to the
+// $GOROOT/src/... form.
+func parseEscapes(out, goroot string) []escSite {
+	gorootSlash := strings.TrimSuffix(filepath.ToSlash(goroot), "/") + "/"
 	seen := make(map[string]bool)
 	var sites []escSite
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		if line == "" || strings.HasPrefix(line, "#") ||
 			strings.HasPrefix(line, " ") || strings.HasPrefix(line, "\t") {
 			continue
@@ -116,6 +154,9 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 			continue
 		}
 		s := escSite{rel: filepath.ToSlash(m[1]), msg: msg}
+		if goroot != "" && strings.HasPrefix(s.rel, gorootSlash) {
+			s.rel = gorootPrefix + s.rel[len(gorootSlash):]
+		}
 		fmt.Sscanf(m[2], "%d", &s.line)
 		fmt.Sscanf(m[3], "%d", &s.col)
 		if k := s.key(); !seen[k] {
@@ -124,7 +165,7 @@ func CollectEscapes(root string, packages []string) ([]escSite, error) {
 		}
 	}
 	sort.Slice(sites, func(i, j int) bool { return sites[i].key() < sites[j].key() })
-	return sites, nil
+	return sites
 }
 
 // FormatEscapesBaseline renders sites in the checked-in baseline format.
@@ -201,6 +242,10 @@ func (r EscapeRule) Check(mod *Module, pkg *Package) []Diagnostic {
 	if err != nil {
 		return fail(fmt.Sprintf("escape analysis failed: %v", err))
 	}
+	goroot, err := goEnvGOROOT(mod.Root)
+	if err != nil {
+		return fail(fmt.Sprintf("escape analysis failed: %v", err))
+	}
 	want, err := readEscapesBaseline(baseline)
 	if err != nil {
 		return fail(fmt.Sprintf("reading baseline: %v", err))
@@ -213,7 +258,7 @@ func (r EscapeRule) Check(mod *Module, pkg *Package) []Diagnostic {
 			continue
 		}
 		diags = append(diags, Diagnostic{
-			Pos:  token.Position{Filename: filepath.Join(mod.Root, filepath.FromSlash(s.rel)), Line: s.line, Column: s.col},
+			Pos:  token.Position{Filename: s.path(mod.Root, goroot), Line: s.line, Column: s.col},
 			Rule: "escapes",
 			Msg: fmt.Sprintf("new heap site not in %s: %s (audit it, then regenerate with 'go run ./cmd/amolint -write-escapes')",
 				EscapesBaselineName, s.msg),

@@ -111,3 +111,38 @@ func TestEscapeRuleGate(t *testing.T) {
 		t.Fatalf("gate ran without a baseline file: %v", diags)
 	}
 }
+
+// TestParseEscapesGOROOTSites checks the parser on canned compiler output:
+// module files stay module-relative, standard-library files inlined into a
+// gated package are rewritten under $GOROOT whatever the host's GOROOT is,
+// flow lines and non-heap diagnostics are dropped, and the doubled
+// trailing-colon form deduplicates.
+func TestParseEscapesGOROOTSites(t *testing.T) {
+	const out = `# amosim/internal/sim
+internal/sim/process.go:61:7: &Process{...} escapes to heap:
+internal/sim/process.go:61:7:   flow: ~r0 = &{storage for &Process{...}}:
+internal/sim/process.go:61:7: &Process{...} escapes to heap
+internal/sim/process.go:70:6: can inline (*Process).dispatch
+/sdk/go/src/iter/iter.go:263:3: moved to heap: iter.done
+/sdk/go/src/iter/iter.go:269:15: func literal escapes to heap:
+	from c (spill) at ./iter.go:269:15
+/elsewhere/go/src/iter/iter.go:275:3: moved to heap: iter.other
+`
+	got := FormatEscapesBaseline(parseEscapes(out, "/sdk/go/"))
+	want := FormatEscapesBaseline(nil) +
+		"$GOROOT/src/iter/iter.go:263:3: moved to heap: iter.done\n" +
+		"$GOROOT/src/iter/iter.go:269:15: func literal escapes to heap\n" +
+		"/elsewhere/go/src/iter/iter.go:275:3: moved to heap: iter.other\n" +
+		"internal/sim/process.go:61:7: &Process{...} escapes to heap\n"
+	if got != want {
+		t.Fatalf("parsed baseline:\n%s\nwant:\n%s", got, want)
+	}
+	site := escSite{rel: "$GOROOT/src/iter/iter.go"}
+	if p := site.path("/mod", "/sdk/go"); p != filepath.FromSlash("/sdk/go/src/iter/iter.go") {
+		t.Errorf("$GOROOT site resolves to %s", p)
+	}
+	site.rel = "internal/sim/process.go"
+	if p := site.path("/mod", "/sdk/go"); p != filepath.FromSlash("/mod/internal/sim/process.go") {
+		t.Errorf("module site resolves to %s", p)
+	}
+}

@@ -71,16 +71,24 @@ type Cache struct {
 }
 
 // New builds a cache with the given geometry. sets must be a power of two.
-func New(sets, ways, blockBytes int) *Cache {
+func New(sets, ways, blockBytes int) *Cache { return &NewBank(1, sets, ways, blockBytes)[0] }
+
+// NewBank builds n caches of one geometry with their headers in one
+// allocation. Each cache's lines stay a separate allocation: one slab of
+// every line of a 1024-CPU machine raised the benchmark's peak RSS by a
+// fifth.
+func NewBank(n, sets, ways, blockBytes int) []Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: sets must be a positive power of two, got %d", sets))
 	}
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways must be positive, got %d", ways))
 	}
-	c := &Cache{sets: sets, ways: ways, blockBytes: blockBytes}
-	c.lines = make([]Line, sets*ways)
-	return c
+	bank := make([]Cache, n)
+	for i := range bank {
+		bank[i] = Cache{sets: sets, ways: ways, blockBytes: blockBytes, lines: make([]Line, sets*ways)}
+	}
+	return bank
 }
 
 // SetRecycler installs fn, called with every word buffer the cache discards

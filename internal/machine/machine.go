@@ -52,6 +52,9 @@ type Machine struct {
 	// wake, so a phase ends for every CPU at the same simulated instant.
 	phaseDone bool
 	phasePred func() bool
+	// serveTail runs after every attached body: it marks the body done and
+	// keeps the CPU serving active messages until the phase ends.
+	serveTail func(c *proc.CPU)
 
 	backend Backend
 	reg     *metrics.Registry
@@ -113,15 +116,23 @@ func New(cfg config.Config) (*Machine, error) {
 	m := &Machine{Cfg: cfg, Eng: eng, Topo: topo, Net: net, Mem: mem}
 	m.done = make([]bool, cfg.Processors)
 	m.phasePred = func() bool { return m.phaseDone }
+	m.serveTail = func(c *proc.CPU) {
+		m.done[c.ID()] = true
+		c.ServeUntil(m.phasePred)
+	}
 
 	m.backend = backendFor(cfg.Backend)
 	if err := m.backend.Wire(m); err != nil {
 		return nil, err
 	}
 
-	for id := 0; id < cfg.Processors; id++ {
-		cch := cache.New(cfg.CacheSets, cfg.CacheWays, cfg.BlockBytes)
-		cpu := proc.New(eng.ForNode(id/cfg.ProcsPerNode), net, cch, m.backend.CPUParams(proc.Params{
+	// CPUs and caches are allocated in bulk: machine construction is a
+	// visible share of every short sweep point.
+	cpus := make([]proc.CPU, cfg.Processors)
+	caches := cache.NewBank(cfg.Processors, cfg.CacheSets, cfg.CacheWays, cfg.BlockBytes)
+	m.CPUs = make([]*proc.CPU, cfg.Processors)
+	for id := range cpus {
+		proc.Init(&cpus[id], eng.ForNode(id/cfg.ProcsPerNode), net, &caches[id], m.backend.CPUParams(proc.Params{
 			ID:           id,
 			Node:         id / cfg.ProcsPerNode,
 			ProcsPerNode: cfg.ProcsPerNode,
@@ -137,7 +148,7 @@ func New(cfg config.Config) (*Machine, error) {
 			ActMsgQueueDepth:    cfg.ActMsgQueueDepth,
 			ActMsgTimeoutCycles: cfg.ActMsgTimeoutCycles,
 		}))
-		m.CPUs = append(m.CPUs, cpu)
+		m.CPUs[id] = &cpus[id]
 	}
 
 	m.reg = metrics.NewRegistry(func() uint64 { return uint64(eng.Now()) })
@@ -249,11 +260,7 @@ func (m *Machine) AllocWord(home int) uint64 { return m.Mem.AllocWord(home) }
 // snapshots taken between phases observe a fully quiescent machine.
 func (m *Machine) OnCPU(id int, program func(c *proc.CPU)) {
 	m.bodies++
-	m.CPUs[id].Run(0, func(c *proc.CPU) {
-		program(c)
-		m.done[id] = true
-		c.ServeUntil(m.phasePred)
-	})
+	m.CPUs[id].Run(0, program, m.serveTail)
 }
 
 // OnAllCPUs attaches program to every CPU (see OnCPU for the serve tail).

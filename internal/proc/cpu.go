@@ -13,6 +13,7 @@ package proc
 
 import (
 	"fmt"
+	"strconv"
 
 	"amosim/internal/cache"
 	"amosim/internal/core"
@@ -92,6 +93,14 @@ type CPU struct {
 
 	proc     *sim.Process
 	attached bool
+	// name (the debugging name of the CPU's processes) and body (the
+	// process body behind Run) are set once per CPU, so attaching a program
+	// allocates only the process. program and then hold the attached
+	// program until its process starts.
+	name    string
+	body    func(p *sim.Process)
+	program func(c *CPU)
+	then    func(c *CPU)
 
 	// pending is the single outstanding cache transaction, inlined so
 	// issuing an operation never allocates; pendingLive marks it in flight.
@@ -105,9 +114,11 @@ type CPU struct {
 
 	// replyQ/amsgQ are head-indexed FIFOs: popping advances the head and
 	// the backing array is reused once drained, so steady-state message
-	// traffic never grows them.
+	// traffic never grows them. replyQ starts on replySlot, since a CPU
+	// rarely holds more than one reply.
 	replyQ    []network.Msg
 	replyHead int
+	replySlot [1]network.Msg
 
 	linkAddr  uint64
 	linkValid bool
@@ -119,11 +130,11 @@ type CPU struct {
 	// lineEvents wakes spin loops whenever any line is invalidated or
 	// updated, or an active message arrives. Spinners re-check their
 	// predicate on every wake.
-	lineEvents *sim.Cond
+	lineEvents sim.Cond
 
 	amsgQ    []network.Msg
 	amsgHead int
-	handlers map[int]Handler
+	handlers map[int]Handler // nil until the first RegisterHandler
 
 	stats metrics.CPUStats
 
@@ -142,22 +153,18 @@ type CPU struct {
 	ended      bool
 }
 
-// New creates a CPU with its private cache and registers its network
-// endpoint.
-func New(eng sim.Engine, net *network.Network, cch *cache.Cache, p Params) *CPU {
-	c := &CPU{
-		p:          p,
-		eng:        eng,
-		net:        net,
-		c:          cch,
-		lineEvents: sim.NewCond(eng),
-		handlers:   make(map[int]Handler),
-	}
+// Init sets up the zero CPU c with its private cache and registers its
+// network endpoint. The caller allocates c, so a machine can allocate all
+// of its CPUs at once; c must not move afterwards.
+func Init(c *CPU, eng sim.Engine, net *network.Network, cch *cache.Cache, p Params) {
+	c.p, c.eng, c.net, c.c = p, eng, net, cch
+	c.name = "cpu" + strconv.Itoa(p.ID)
+	c.body = c.runBody
+	c.replyQ = c.replySlot[:0]
 	c.registerWake = func(wake func()) { c.pendingWake = wake }
 	c.pool = net.DataPool(p.Node)
 	cch.SetRecycler(c.pool.ReleaseData)
 	net.RegisterCPU(p.ID, c.deliver)
-	return c
 }
 
 // ID returns the global CPU id.
@@ -243,6 +250,9 @@ func (c *CPU) RegisterHandler(id int, h Handler) {
 	if _, dup := c.handlers[id]; dup {
 		panic(fmt.Sprintf("proc: handler %d registered twice on cpu %d", id, c.p.ID))
 	}
+	if c.handlers == nil {
+		c.handlers = make(map[int]Handler)
+	}
 	c.handlers[id] = h
 }
 
@@ -252,29 +262,37 @@ func (c *CPU) HasHandler(id int) bool {
 	return ok
 }
 
-// Run attaches a program to the CPU and starts it after delay cycles. A CPU
-// runs one program at a time; once a program has finished (its machine Run
-// returned), a further phase may be attached and the CPU's measured window
-// extends from the first program's start to the latest program's end, so
-// cycle attribution stays conserved across contiguous phases.
-func (c *CPU) Run(delay sim.Time, program func(c *CPU)) {
+// Run attaches a program to the CPU and starts it after delay cycles; then
+// runs in the same process once program returns and counts as part of it. A CPU runs one program at a time; once a program has finished
+// (its machine Run returned), a further phase may be attached and the CPU's
+// measured window extends from the first program's start to the latest
+// program's end, so cycle attribution stays conserved across contiguous
+// phases.
+func (c *CPU) Run(delay sim.Time, program, then func(c *CPU)) {
 	if c.attached {
 		panic(fmt.Sprintf("proc: cpu %d already has a program", c.p.ID))
 	}
 	c.attached = true
-	c.eng.Spawn(fmt.Sprintf("cpu%d", c.p.ID), delay, func(p *sim.Process) {
-		c.proc = p
-		if !c.started {
-			c.startAt = c.eng.Now()
-			c.started = true
-		}
-		c.ended = false
-		program(c)
-		c.endAt = c.eng.Now()
-		c.ended = true
-		c.proc = nil
-		c.attached = false
-	})
+	c.program, c.then = program, then
+	c.eng.Spawn(c.name, delay, c.body)
+}
+
+// runBody is the process body behind Run.
+func (c *CPU) runBody(p *sim.Process) {
+	c.proc = p
+	if !c.started {
+		c.startAt = c.eng.Now()
+		c.started = true
+	}
+	c.ended = false
+	program, then := c.program, c.then
+	c.program, c.then = nil, nil
+	program(c)
+	then(c)
+	c.endAt = c.eng.Now()
+	c.ended = true
+	c.proc = nil
+	c.attached = false
 }
 
 // Now returns the current simulated time.

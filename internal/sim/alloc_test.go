@@ -62,7 +62,7 @@ func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatalf("RunUntil = %v, want ErrDeadline (spinners never finish)", err)
 		}
 	}
-	window() // warm: first parks create the goroutines' channel buffers
+	window() // warm: grow the event arena and heap to their steady size
 	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 		t.Fatalf("process context switching allocates %.1f/op, want 0", allocs)
 	}

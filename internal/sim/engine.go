@@ -76,7 +76,7 @@ type Engine interface {
 	// LiveProcesses reports spawned processes that have not yet returned.
 	LiveProcesses() int
 	// Stop makes Run return after the current event; Shutdown unwinds every
-	// parked process goroutine.
+	// parked or never-dispatched process.
 	Stop()
 	Shutdown()
 }

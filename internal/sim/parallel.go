@@ -259,8 +259,10 @@ func (par *Parallel) LiveProcesses() int {
 // not for deterministic pause/resume.
 func (par *Parallel) Stop() { par.stopped.Store(true) }
 
-// Shutdown terminates the shard workers and unwinds every parked process
-// goroutine. The engine must not be used afterwards.
+// Shutdown terminates the shard workers and unwinds every parked or
+// never-dispatched process. The workers are idle between windows, so the
+// coordinator owns every shard's processes here. The engine must not be
+// used afterwards.
 func (par *Parallel) Shutdown() {
 	if par.shutdown {
 		return
@@ -273,7 +275,7 @@ func (par *Parallel) Shutdown() {
 	}
 	for _, s := range par.shards {
 		for _, p := range s.plist {
-			close(p.resume)
+			p.stop()
 		}
 		s.plist = nil
 	}

@@ -1,4 +1,11 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to 1.23 for
+// iter.Pull while go.mod stays at 1.22; see DESIGN.md §12.
+
 package sim
+
+import "iter"
 
 // scheduler is the narrow kernel surface a process needs: it is implemented
 // by *Sequential and by the parallel engine's per-node shard views, so the
@@ -10,19 +17,28 @@ type scheduler interface {
 	procExit()
 }
 
-// Process is a simulated thread of control backed by a goroutine. Exactly one
-// process (or event handler) executes at a time on a given shard, handing
-// control back to the kernel whenever it sleeps or parks, so the simulation
-// stays deterministic and shared simulated state needs no locking.
+// Process is a simulated thread of control backed by a coroutine. Exactly
+// one process (or event handler) executes at a time on a given shard,
+// handing control back to the kernel whenever it sleeps or parks, so the
+// simulation stays deterministic and shared simulated state needs no
+// locking.
+//
+// The handoff is an iter.Pull coroutine: dispatch resumes it with next, and
+// park returns control with the sequence's yield. Both are direct
+// coroutine switches that bypass the Go scheduler. A process is resumed
+// only from the goroutine that owns its shard (the kernel's event loop),
+// and its stop function is called only by Shutdown.
 type Process struct {
 	eng  scheduler
 	name string
-	// resume carries control kernel->process (true = run; the channel is
-	// closed by Shutdown, so a false receive unwinds the goroutine). yield
-	// carries control back. Plain receives, not selects: parking is on the
-	// context-switch hot path.
-	resume chan bool
-	yield  chan struct{}
+	fn   func(p *Process)
+	// next transfers control kernel->process; yield (set when the
+	// coroutine first runs) transfers it back and reports false once stop
+	// has been called, which unwinds the process; stop unwinds a parked or
+	// never-started process and is a no-op on a finished one.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 	// wakeFn is the prebound wake function handed out by parkWaiting; it is
 	// created once at Spawn so parking never allocates. wakeArmed guards
 	// against waking a process that is not parked (or waking it twice).
@@ -34,60 +50,48 @@ type Process struct {
 // ScheduleCall form; a single package-level func value serves every process.
 var dispatchCall = func(a any) { a.(*Process).dispatch() }
 
-// shutdownSentinel is panicked inside a process goroutine when the engine is
-// shut down, unwinding the stack so the goroutine exits.
+// shutdownSentinel is panicked inside a process when the engine is shut
+// down, unwinding its stack; run recovers it so the coroutine ends quietly.
 type shutdownSentinel struct{}
 
 // spawn starts fn as a new process after delay cycles on s. The process runs
 // to completion unless the engine is shut down first. name is used in
 // debugging output only.
 func spawn(s scheduler, name string, delay Time, fn func(p *Process)) *Process {
-	p := &Process{
-		eng:    s,
-		name:   name,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
-	}
+	p := &Process{eng: s, name: name, fn: fn}
 	p.wakeFn = p.wake
+	p.next, p.stop = iter.Pull(p.run)
 	s.procStart(p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(shutdownSentinel); ok {
-					return // engine shut down; exit quietly
-				}
-				panic(r)
-			}
-		}()
-		p.parkInitial()
-		fn(p)
-		s.procExit()
-		p.yield <- struct{}{} // final handoff back to the kernel
-	}()
 	s.schedCall(delay, dispatchCall, p)
 	return p
 }
 
-// dispatch transfers control from the kernel to the process and waits until
-// the process parks again or finishes. Called only from event context.
-func (p *Process) dispatch() {
-	p.resume <- true
-	<-p.yield
+// run is the coroutine body. Any panic other than the shutdown sentinel is
+// re-raised, and iter.Pull carries it out of the dispatching next call onto
+// the kernel's goroutine.
+func (p *Process) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(shutdownSentinel); ok {
+				return // engine shut down; end quietly
+			}
+			panic(r)
+		}
+	}()
+	p.yield = yield
+	p.fn(p)
+	p.eng.procExit()
 }
 
-// parkInitial blocks the fresh goroutine until its start event dispatches it.
-func (p *Process) parkInitial() {
-	if !<-p.resume {
-		panic(shutdownSentinel{})
-	}
-}
+// dispatch transfers control from the kernel to the process and returns when
+// the process parks again or finishes. Called only from event context.
+func (p *Process) dispatch() { p.next() }
 
 // park returns control to the kernel and blocks until dispatched again.
 // Whoever wakes this process must do so by scheduling p.dispatch (via
-// Wake/Sleep/Cond), never by touching the channels directly.
+// Wake/Sleep/Cond), never by resuming the coroutine directly.
 func (p *Process) park() {
-	p.yield <- struct{}{}
-	if !<-p.resume {
+	if !p.yield(struct{}{}) {
 		panic(shutdownSentinel{})
 	}
 }
@@ -140,8 +144,13 @@ func (p *Process) Await(register func(wake func())) {
 // until the next Broadcast after they began waiting. There is no Signal: the
 // simulated hardware wakes all spinners and each re-checks its predicate,
 // mirroring how cache-line events wake all local spin loops.
+//
+// The zero value is ready to use. A Cond must not be copied after first use:
+// its first waiter is stored inline, since most Conds (a CPU's line events)
+// only ever hold their own CPU's process.
 type Cond struct {
 	waiters []*Process
+	first   [1]*Process
 }
 
 // NewCond returns a condition variable bound to e. Every waiter must run on
@@ -151,6 +160,9 @@ func NewCond(e Engine) *Cond { return &Cond{} }
 // Wait parks the calling process until the next Broadcast.
 func (c *Cond) Wait(p *Process) {
 	p.parkWaiting()
+	if c.waiters == nil {
+		c.waiters = c.first[:0]
+	}
 	c.waiters = append(c.waiters, p)
 	p.park()
 }

@@ -32,7 +32,7 @@ type Sequential struct {
 	executed uint64
 	procs    int // live (spawned, not yet finished) processes
 	// plist records every spawned process so Shutdown can unwind the parked
-	// ones by closing their resume channels.
+	// and never-dispatched ones.
 	plist    []*Process
 	stopped  bool
 	shutdown bool
@@ -215,18 +215,17 @@ func (e *Sequential) RunUntil(deadline Time) error {
 // remain parked; call Shutdown to unwind them.
 func (e *Sequential) Stop() { e.stopped = true }
 
-// Shutdown unwinds every parked process goroutine. After Shutdown the engine
-// must not be used. It is safe to call Shutdown multiple times. Shutdown must
-// not be called from inside a process or event handler.
-// A process that already finished has no receiver on its resume channel;
-// closing it anyway is harmless.
+// Shutdown unwinds every parked or never-dispatched process; stopping a
+// process that already finished is a no-op. After Shutdown the engine must
+// not be used. It is safe to call Shutdown multiple times. Shutdown must not
+// be called from inside a process or event handler.
 func (e *Sequential) Shutdown() {
 	if e.shutdown {
 		return
 	}
 	e.shutdown = true
 	for _, p := range e.plist {
-		close(p.resume)
+		p.stop()
 	}
 	e.plist = nil
 }

@@ -155,16 +155,16 @@ func tagOf(cfg config.Config) string {
 	return s
 }
 
-// attachChaos hooks the fault injector (a no-op at level 0) and the
-// strongest invariant checker the kernel allows — the transition oracle on
-// the sequential kernel, the post-run coherence check on the parallel one.
-// The returned check runs after the machine quiesces (nil when chaos is
-// off).
+// attachChaos hooks the fault injector and the strongest invariant checker
+// the kernel allows — the transition oracle on the sequential kernel, the
+// post-run coherence check on the parallel one. The returned check runs
+// after the machine quiesces. At level 0 it attaches nothing and returns
+// nil.
 func attachChaos(m *machine.Machine, rc RunConfig) func() error {
-	chaos.Attach(m, chaos.Plan{Seed: rc.ChaosSeed, Level: rc.ChaosLevel})
 	if rc.ChaosLevel <= 0 {
 		return nil
 	}
+	chaos.Attach(m, chaos.Plan{Seed: rc.ChaosSeed, Level: rc.ChaosLevel})
 	if m.Cfg.Engine == "parallel" {
 		return m.CheckCoherence
 	}
