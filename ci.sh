@@ -188,8 +188,9 @@ trap 'rm -f "$tmpjson" "$seqout" "$parout" "$xjson" "$tjson" "$pdesjson"' EXIT
 go run ./cmd/amotables -bench-pdes "$pdesjson" -bench-pdes-gate BENCH_pdes.json
 
 echo "== hot path: zero-alloc regression tests"
-# The pooled event and message paths are pinned at exactly 0 allocs/op.
-go test -run 'ZeroAlloc' ./internal/sim ./internal/network
+# The pooled event and message paths, the home-node directory transactions
+# and the backing store are pinned at exactly 0 allocs/op.
+go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/directory ./internal/memsys
 
 echo "== hot path: determinism and throughput gate"
 # Generate the hot-path document twice: every non-Host field (simulated

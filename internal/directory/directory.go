@@ -15,6 +15,7 @@ package directory
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"amosim/internal/memsys"
@@ -24,7 +25,7 @@ import (
 )
 
 // state is the directory-side block state.
-type state int
+type state uint8
 
 const (
 	unowned state = iota
@@ -44,27 +45,66 @@ func (s state) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// entry is the directory record for one block.
+// entry is the directory record for one block. Entries are carved from the
+// controller's slabs and never freed, so a pointer to one stays valid for
+// the controller's life.
 type entry struct {
+	c        *Controller
+	block    uint64
 	state    state
+	busy     bool
 	owner    int             // CPU id, valid when state == exclusive
 	sharers  sharerSet       // sharer vector, valid when state == shared
-	amuWords map[uint64]bool // word addrs currently held by the local AMU
-	busy     bool
-	waitq    []func() // head-indexed FIFO of queued transactions
+	amuWords map[uint64]bool // word addrs held by the local AMU; nil until the first FineGet
+	waitq    []func()        // head-indexed FIFO of queued transactions
 	waitHead int
-	// txn is live (txnLive) while busy; interventions and inv-acks continue
-	// it. The record is inlined in the entry so starting a transaction never
-	// allocates.
-	txn     txn
-	txnLive bool
+	// txn is the in-flight transaction while busy. It is inlined in the
+	// entry and continued by step codes rather than closures, so starting,
+	// continuing and finishing a transaction never allocates.
+	txn txn
 }
 
+// txn is the state a transaction carries across its events.
 type txn struct {
-	waitingAcks int
-	onAcks      func()
-	onIvnAck    func(m network.Msg)
+	req         network.Endpoint // requesting CPU (CPU transactions)
+	addr        uint64           // fine get: the word
+	got         func(uint64)     // fine get: completion callback
+	reply       network.Kind     // kind of the pending data reply
+	waitingAcks int              // invalidation acks still outstanding
+	next        step             // runs when the scheduled occupancy ends
+	afterReply  step             // runs once the data reply is sent
+	afterAcks   step             // runs once the last invalidation ack arrives
+	afterIvn    step             // runs when the intervention ack arrives; stepNone = none pending
+	stale       bool             // the last intervention ack was stale
 }
+
+// step names a transaction continuation; Controller.step runs it.
+type step uint8
+
+const (
+	stepNone step = iota
+	// stepComplete ends the transaction.
+	stepComplete
+	// stepSendReply reads the block and sends it to the requester as
+	// txn.reply, then runs txn.afterReply.
+	stepSendReply
+	// stepSharedGrant records the requester as a sharer.
+	stepSharedGrant
+	// stepExclusiveGrant records the requester as the exclusive owner.
+	stepExclusiveGrant
+	// stepUpgradeAck grants a true upgrade: ownership without data.
+	stepUpgradeAck
+	// stepReplyExclusive supplies the block for a GETX once the owner or
+	// the sharers have given it up.
+	stepReplyExclusive
+	// stepDowngraded finishes a GETS on an owned block once the owner has
+	// downgraded (or turned out to be gone).
+	stepDowngraded
+	// stepFineDowngraded is stepDowngraded for a fine get.
+	stepFineDowngraded
+	// stepFineFinish registers the AMU word and hands it its value.
+	stepFineFinish
+)
 
 // addSharer inserts cpu into the sharer vector (no-op if present).
 func (e *entry) addSharer(cpu int) { e.sharers.add(cpu) }
@@ -114,10 +154,18 @@ type Controller struct {
 	amu  AMUPort
 	p    Params
 
-	entries map[uint64]*entry
+	// table maps a block's offset within the node (in blocks) to its
+	// entry; nil slots are blocks nobody has touched. Entries come from
+	// slab, a run of records that is replaced by a larger one when full;
+	// exactRun holds the first sharer-list slots of the slab's entries.
+	table      []*entry
+	slab       []entry
+	exactRun   []int
+	blockShift uint
 
-	// reqFree/fineFree recycle the request and fine-put/evict records below,
-	// so accepting a CPU request or flushing an AMU word never allocates.
+	// reqFree/fineFree recycle the request and fine-grained AMU records
+	// below, so accepting a CPU request or an AMU transaction never
+	// allocates.
 	reqFree  []*dirReq
 	fineFree []*fineJob
 
@@ -155,14 +203,15 @@ func (c *Controller) acquireReq() *dirReq {
 	return r
 }
 
-// fineJob is a pooled fine-put (read != nil) or fine-evict (read == nil)
-// record: the two-stage submit/occupy chain runs through prebound funcs, so
-// flushing an AMU word to sharers never allocates.
+// fineJob is a pooled fine-get (got != nil), fine-put (read != nil) or
+// fine-evict record: the submit/occupy chain runs through prebound funcs,
+// so an AMU transaction never allocates.
 type fineJob struct {
 	c     *Controller
 	block uint64
 	addr  uint64
 	val   uint64
+	got   func(uint64)          // fine get: completion callback
 	read  func() (uint64, bool) // fine put: AMU value read at execution time
 	done  func()                // fine put: completion callback
 	start func()
@@ -179,12 +228,18 @@ func (c *Controller) acquireFine() *fineJob {
 	j.start = func() {
 		ctl := j.c
 		e := ctl.entryOf(j.block)
+		if j.got != nil {
+			e.txn.addr, e.txn.got = j.addr, j.got
+			ctl.releaseFine(j)
+			ctl.fineGet(e)
+			return
+		}
 		if j.read != nil {
 			val, ok := j.read()
 			if !ok || !e.amuWords[j.addr] {
-				block, done := j.block, j.done
+				done := j.done
 				ctl.releaseFine(j)
-				ctl.complete(block)
+				ctl.complete(e)
 				done()
 				return
 			}
@@ -211,9 +266,9 @@ func (c *Controller) acquireFine() *fineJob {
 				DataBytes: memsys.WordBytes,
 			})
 		}
-		block, done := j.block, j.done
+		done := j.done
 		ctl.releaseFine(j)
-		ctl.complete(block)
+		ctl.complete(e)
 		if done != nil {
 			done()
 		}
@@ -222,7 +277,7 @@ func (c *Controller) acquireFine() *fineJob {
 }
 
 func (c *Controller) releaseFine(j *fineJob) {
-	j.block, j.addr, j.val, j.read, j.done = 0, 0, 0, nil, nil
+	j.block, j.addr, j.val, j.got, j.read, j.done = 0, 0, 0, nil, nil, nil
 	c.fineFree = append(c.fineFree, j)
 }
 
@@ -243,13 +298,16 @@ func New(eng sim.Engine, net *network.Network, mem *memsys.Memory, p Params) *Co
 	if p.ProcsPerNode <= 0 {
 		panic("directory: ProcsPerNode must be positive")
 	}
+	if p.BlockBytes <= 0 || p.BlockBytes&(p.BlockBytes-1) != 0 {
+		panic(fmt.Sprintf("directory: BlockBytes must be a power of two, got %d", p.BlockBytes))
+	}
 	return &Controller{
-		eng:     eng,
-		net:     net,
-		pool:    net.DataPool(p.Node),
-		mem:     mem,
-		p:       p,
-		entries: make(map[uint64]*entry),
+		eng:        eng,
+		net:        net,
+		pool:       net.DataPool(p.Node),
+		mem:        mem,
+		p:          p,
+		blockShift: uint(bits.TrailingZeros(uint(p.BlockBytes))),
 	}
 }
 
@@ -282,13 +340,80 @@ func (c *Controller) occupy(cycles uint64, job func()) {
 	c.eng.Schedule(sim.Time(cycles), job)
 }
 
-func (c *Controller) entryOf(block uint64) *entry {
-	e := c.entries[block]
-	if e == nil {
-		e = &entry{amuWords: make(map[uint64]bool)}
-		e.sharers.procs = c.p.Procs
-		c.entries[block] = e
+// occupyStep charges cycles of occupancy like occupy, then runs step s of
+// e's transaction. The event carries only the entry, so it never allocates.
+func (c *Controller) occupyStep(e *entry, cycles uint64, s step) {
+	c.stats.OccupancyCycles += cycles
+	e.txn.next = s
+	c.eng.ScheduleCall(sim.Time(cycles), runNextStep, e)
+}
+
+// runNextStep is the event body of occupyStep.
+func runNextStep(arg any) {
+	e := arg.(*entry)
+	s := e.txn.next
+	e.txn.next = stepNone
+	e.c.step(e, s)
+}
+
+// Entry slabs start small, so a controller whose node homes a handful of
+// blocks stays small, and double up to a cap.
+const (
+	minSlabEntries = 4
+	maxSlabEntries = 256
+	// exactSlots is the sharer-list capacity each entry is carved with.
+	exactSlots = 2
+)
+
+// slot returns the table index of block, panicking on a block homed at
+// another node (its offset would alias one of this node's blocks).
+func (c *Controller) slot(block uint64) int {
+	if n := memsys.HomeNode(block); n != c.p.Node {
+		panic(fmt.Sprintf("directory: block %#x is homed at node %d, not node %d", block, n, c.p.Node))
 	}
+	return int(block & (1<<memsys.NodeShift - 1) >> c.blockShift)
+}
+
+// lookup returns the entry for block, or nil when nobody has touched it.
+// It never creates one: the read-only accessors use it.
+func (c *Controller) lookup(block uint64) *entry {
+	if i := c.slot(block); i < len(c.table) {
+		return c.table[i]
+	}
+	return nil
+}
+
+// entryOf returns the entry for block, creating it on first touch.
+func (c *Controller) entryOf(block uint64) *entry {
+	i := c.slot(block)
+	if i < len(c.table) {
+		if e := c.table[i]; e != nil {
+			return e
+		}
+	} else {
+		grown := make([]*entry, max(i+1, 2*len(c.table)))
+		copy(grown, c.table)
+		c.table = grown
+	}
+	e := c.newEntry()
+	e.block = block
+	c.table[i] = e
+	return e
+}
+
+// newEntry carves a fresh entry from the current slab, starting a larger
+// slab, with a sharer-list run of its own, when it is full.
+func (c *Controller) newEntry() *entry {
+	if len(c.slab) == cap(c.slab) {
+		n := min(max(2*cap(c.slab), minSlabEntries), maxSlabEntries)
+		c.slab = make([]entry, 0, n)
+		c.exactRun = make([]int, n*exactSlots)
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	e := &c.slab[len(c.slab)-1]
+	e.c = c
+	e.sharers.procs = c.p.Procs
+	e.sharers.exact, c.exactRun = c.exactRun[:0:exactSlots], c.exactRun[exactSlots:]
 	return e
 }
 
@@ -338,21 +463,19 @@ func (c *Controller) submit(block uint64, job func()) {
 	job()
 }
 
-// complete ends the current transaction on block and starts the next queued
+// complete ends the current transaction on e and starts the next queued
 // one, if any, after the directory's per-transaction occupancy charge.
 // The charge matters beyond fidelity: it gives each exclusive grantee a few
 // cycles of guaranteed residence before the next queued request's
 // intervention can be dispatched, which is what lets an LL/SC pair commit
 // under a full request queue instead of livelocking.
-func (c *Controller) complete(block uint64) {
-	e := c.entryOf(block)
+func (c *Controller) complete(e *entry) {
 	if !e.busy {
 		panic("directory: complete on idle block")
 	}
 	e.txn = txn{}
-	e.txnLive = false
 	if c.observer != nil {
-		c.observer(block)
+		c.observer(e.block)
 	}
 	if e.waitHead == len(e.waitq) {
 		e.busy = false
@@ -370,23 +493,23 @@ func (c *Controller) complete(block uint64) {
 	c.occupy(c.p.DirCycles, next)
 }
 
-// recallAMU flushes AMU-held words of block into memory so that memory is
-// current before the directory supplies data or grants exclusivity.
-func (c *Controller) recallAMU(e *entry, block uint64) {
+// recallAMU flushes AMU-held words of e's block into memory so that memory
+// is current before the directory supplies data or grants exclusivity.
+func (c *Controller) recallAMU(e *entry) {
 	if len(e.amuWords) == 0 {
 		return
 	}
 	if c.amu == nil {
 		panic("directory: AMU words held but no AMU port")
 	}
-	c.amu.Recall(block)
+	c.amu.Recall(e.block)
 	clear(e.amuWords)
 }
 
 // processRequest starts a CPU-originated transaction. The block is busy.
 func (c *Controller) processRequest(block uint64, m network.Msg) {
 	e := c.entryOf(block)
-	req := m.Src
+	e.txn.req = m.Src
 	switch m.Kind {
 	case network.KindGetShared:
 		switch e.state {
@@ -396,129 +519,147 @@ func (c *Controller) processRequest(block uint64, m network.Msg) {
 			// the paper's release-consistency semantics for AMO variables
 			// (§3.2). Recalling on reads would also cancel queued fine-puts
 			// without invalidating sharers, losing their wake-up.
-			c.replyData(block, req, network.KindDataShared, func() {
-				e.state = shared
-				e.addSharer(req.CPU)
-				c.complete(block)
-			})
+			c.replyData(e, network.KindDataShared, stepSharedGrant)
 		case exclusive:
-			c.intervene(block, e, false /*downgrade*/, func(stale bool) {
-				// A stale ack means the owner's writeback raced ahead: its
-				// copy is gone (and e.owner was cleared when the writeback
-				// was applied), so only the requester becomes a sharer.
-				// Recording the departed owner here would create a phantom
-				// sharer that could later be granted a data-less upgrade
-				// for a line it no longer holds.
-				e.clearSharers()
-				e.addSharer(req.CPU)
-				if !stale {
-					e.addSharer(e.owner)
-				}
-				e.state = shared
-				c.replyData(block, req, network.KindDataShared, func() { c.complete(block) })
-			})
+			c.intervene(e, false /*downgrade*/, stepDowngraded)
 		}
 	case network.KindGetExclusive:
-		c.grantExclusive(block, e, req)
+		c.grantExclusive(e)
 	case network.KindUpgrade:
 		if e.state == shared && len(e.amuWords) == 0 {
 			// A data-less grant is only safe when no word of the block is
 			// AMU-held: sharers may be stale with respect to the AMU's value
 			// (release consistency), so a block with AMU words must be
 			// recalled and re-supplied as a full GETX.
-			if e.hasSharer(req.CPU) {
+			if e.hasSharer(m.Src.CPU) {
 				// True upgrade: invalidate other sharers, grant without data.
-				c.recallAMU(e, block)
-				e.removeSharer(req.CPU)
-				c.invalidateSharers(e, block, func() {
-					e.state = exclusive
-					e.owner = req.CPU
-					e.clearSharers()
-					c.send(network.Msg{
-						Kind: network.KindAckExclusive,
-						Src:  network.Hub(c.p.Node), Dst: req,
-						Addr: block,
-					})
-					c.complete(block)
-				})
+				c.recallAMU(e)
+				e.removeSharer(m.Src.CPU)
+				c.invalidateSharers(e, stepUpgradeAck)
 				return
 			}
 		}
 		// Requester lost its copy while the upgrade was in flight (or the
 		// block moved to exclusive): treat as a full GETX.
-		c.grantExclusive(block, e, req)
+		c.grantExclusive(e)
 	default:
 		panic(fmt.Sprintf("directory: processRequest on non-request %v", m))
 	}
 }
 
 // grantExclusive implements GETX (and upgrade-turned-GETX).
-func (c *Controller) grantExclusive(block uint64, e *entry, req network.Endpoint) {
+func (c *Controller) grantExclusive(e *entry) {
 	switch e.state {
 	case unowned:
-		c.recallAMU(e, block)
-		c.replyData(block, req, network.KindDataExclusive, func() {
-			e.state = exclusive
-			e.owner = req.CPU
-			c.complete(block)
-		})
+		c.recallAMU(e)
+		c.replyData(e, network.KindDataExclusive, stepExclusiveGrant)
 	case shared:
-		c.recallAMU(e, block)
-		e.removeSharer(req.CPU)
-		c.invalidateSharers(e, block, func() {
-			c.replyData(block, req, network.KindDataExclusive, func() {
-				e.state = exclusive
-				e.owner = req.CPU
-				e.clearSharers()
-				c.complete(block)
-			})
-		})
+		c.recallAMU(e)
+		e.removeSharer(e.txn.req.CPU)
+		c.invalidateSharers(e, stepReplyExclusive)
 	case exclusive:
-		if e.owner == req.CPU {
+		if e.owner == e.txn.req.CPU {
 			// Owner re-requesting after its own writeback raced this GETX.
-			c.replyData(block, req, network.KindDataExclusive, func() { c.complete(block) })
+			c.replyData(e, network.KindDataExclusive, stepComplete)
 			return
 		}
-		c.intervene(block, e, true /*invalidate*/, func(bool) {
-			c.replyData(block, req, network.KindDataExclusive, func() {
-				e.state = exclusive
-				e.owner = req.CPU
-				c.complete(block)
-			})
-		})
+		c.intervene(e, true /*invalidate*/, stepReplyExclusive)
 	}
 }
 
-// replyData reads the block from memory (charging directory + DRAM latency)
-// and sends it to dst, then runs done. The payload rides a pooled buffer
-// that the network recycles after delivery.
-func (c *Controller) replyData(block uint64, dst network.Endpoint, kind network.Kind, done func()) {
-	c.occupy(c.p.DirCycles+c.p.DRAMCycles, func() {
+// step runs continuation s of e's transaction.
+func (c *Controller) step(e *entry, s step) {
+	t := &e.txn
+	switch s {
+	case stepComplete:
+		c.complete(e)
+	case stepSendReply:
+		// The payload rides a pooled buffer that the network recycles
+		// after delivery.
 		words := c.pool.AcquireData(c.p.BlockBytes / memsys.WordBytes)
-		c.mem.ReadBlockInto(block, words)
+		c.mem.ReadBlockInto(e.block, words)
 		c.send(network.Msg{
-			Kind: kind,
-			Src:  network.Hub(c.p.Node), Dst: dst,
-			Addr:      block,
+			Kind: t.reply,
+			Src:  network.Hub(c.p.Node), Dst: t.req,
+			Addr:      e.block,
 			DataBytes: c.p.BlockBytes,
 			Data:      words,
 			DataOwned: true,
 		})
-		done()
-	})
+		c.step(e, t.afterReply)
+	case stepSharedGrant:
+		e.state = shared
+		e.addSharer(t.req.CPU)
+		c.complete(e)
+	case stepExclusiveGrant:
+		// The sharer vector is already empty: unowned and exclusive blocks
+		// keep none, and invalidateSharers empties a shared block's.
+		e.state = exclusive
+		e.owner = t.req.CPU
+		e.clearSharers()
+		c.complete(e)
+	case stepUpgradeAck:
+		c.send(network.Msg{
+			Kind: network.KindAckExclusive,
+			Src:  network.Hub(c.p.Node), Dst: t.req,
+			Addr: e.block,
+		})
+		c.step(e, stepExclusiveGrant)
+	case stepReplyExclusive:
+		c.replyData(e, network.KindDataExclusive, stepExclusiveGrant)
+	case stepDowngraded:
+		// A stale ack means the owner's writeback raced ahead: its copy is
+		// gone (and e.owner was cleared when the writeback was applied), so
+		// only the requester becomes a sharer. Recording the departed owner
+		// here would create a phantom sharer that could later be granted a
+		// data-less upgrade for a line it no longer holds.
+		e.clearSharers()
+		e.addSharer(t.req.CPU)
+		if !t.stale {
+			e.addSharer(e.owner)
+		}
+		e.state = shared
+		c.replyData(e, network.KindDataShared, stepComplete)
+	case stepFineDowngraded:
+		// As with a GETS intervention, a stale ack means the owner already
+		// wrote back and keeps no copy: record no sharer.
+		if !t.stale {
+			e.state = shared
+			e.clearSharers()
+			e.addSharer(e.owner)
+		}
+		c.step(e, stepFineFinish)
+	case stepFineFinish:
+		addr, got := t.addr, t.got
+		if e.amuWords == nil {
+			e.amuWords = make(map[uint64]bool)
+		}
+		e.amuWords[addr] = true
+		val := c.mem.ReadWord(addr)
+		c.complete(e)
+		got(val)
+	default:
+		panic(fmt.Sprintf("directory: bad transaction step %d", s))
+	}
 }
 
-// invalidateSharers sends INV to every current sharer, then runs done once
-// all acks arrive. With no sharers it runs done immediately (after the
+// replyData reads the block from memory (charging directory + DRAM latency)
+// and sends it to the requester as kind, then runs step then.
+func (c *Controller) replyData(e *entry, kind network.Kind, then step) {
+	e.txn.reply, e.txn.afterReply = kind, then
+	c.occupyStep(e, c.p.DirCycles+c.p.DRAMCycles, stepSendReply)
+}
+
+// invalidateSharers sends INV to every current sharer, then runs step then
+// once all acks arrive. With no sharers it runs then immediately (after the
 // directory occupancy charge).
-func (c *Controller) invalidateSharers(e *entry, block uint64, done func()) {
+func (c *Controller) invalidateSharers(e *entry, then step) {
 	n := e.sharers.count()
 	if n == 0 {
-		c.occupy(c.p.DirCycles, done)
+		c.occupyStep(e, c.p.DirCycles, then)
 		return
 	}
-	e.txn = txn{waitingAcks: n, onAcks: done}
-	e.txnLive = true
+	e.txn.waitingAcks, e.txn.afterAcks = n, then
 	for it := e.sharers.iter(); ; {
 		i, cpu, ok := it.next()
 		if !ok {
@@ -528,7 +669,7 @@ func (c *Controller) invalidateSharers(e *entry, block uint64, done func()) {
 		m := network.Msg{
 			Kind: network.KindInvalidate,
 			Src:  network.Hub(c.p.Node), Dst: c.cpuEndpoint(cpu),
-			Addr: block,
+			Addr: e.block,
 		}
 		c.sendStaggered(i, m)
 	}
@@ -557,15 +698,14 @@ func sortedWords(e *entry) []uint64 {
 }
 
 func (c *Controller) applyInvAck(e *entry) {
-	if !e.txnLive || e.txn.waitingAcks == 0 {
+	if e.txn.waitingAcks == 0 {
 		panic("directory: unexpected invalidation ack")
 	}
 	e.txn.waitingAcks--
 	if e.txn.waitingAcks == 0 {
-		done := e.txn.onAcks
-		e.txn = txn{}
-		e.txnLive = false
-		done()
+		then := e.txn.afterAcks
+		e.txn.afterAcks = stepNone
+		c.step(e, then)
 	}
 }
 
@@ -573,22 +713,13 @@ func (c *Controller) applyInvAck(e *entry) {
 // true the owner drops the block, otherwise it downgrades to Shared. When
 // the ack arrives, memory is updated from the owner's data (unless the
 // owner had already written back, in which case the out-of-band writeback
-// made memory current) and done runs with stale reporting whether the
-// owner still held the block. On a stale ack the former owner retains no
-// copy — callers must not record it as a sharer (and e.owner has already
-// been cleared by the raced writeback).
-func (c *Controller) intervene(block uint64, e *entry, invalidate bool, done func(stale bool)) {
+// made memory current), txn.stale records whether the owner still held
+// the block, and step then runs. On a stale ack the former owner retains
+// no copy — continuations must not record it as a sharer (and e.owner has
+// already been cleared by the raced writeback).
+func (c *Controller) intervene(e *entry, invalidate bool, then step) {
 	c.stats.Interventions++
-	e.txn = txn{onIvnAck: func(m network.Msg) {
-		e.txn = txn{}
-		e.txnLive = false
-		stale := m.Flags&IvnAckStale != 0
-		if !stale {
-			c.mem.WriteBlock(block, m.Data)
-		}
-		done(stale)
-	}}
-	e.txnLive = true
+	e.txn.afterIvn = then
 	flags := uint32(0)
 	if invalidate {
 		flags = IvnInvalidate
@@ -597,7 +728,7 @@ func (c *Controller) intervene(block uint64, e *entry, invalidate bool, done fun
 		Kind:  network.KindIntervention,
 		Src:   network.Hub(c.p.Node),
 		Dst:   c.cpuEndpoint(e.owner),
-		Addr:  block,
+		Addr:  e.block,
 		Flags: flags,
 	})
 }
@@ -612,10 +743,16 @@ const (
 )
 
 func (c *Controller) applyIvnAck(e *entry, m network.Msg) {
-	if !e.txnLive || e.txn.onIvnAck == nil {
+	then := e.txn.afterIvn
+	if then == stepNone {
 		panic("directory: unexpected intervention ack")
 	}
-	e.txn.onIvnAck(m)
+	e.txn.afterIvn = stepNone
+	e.txn.stale = m.Flags&IvnAckStale != 0
+	if !e.txn.stale {
+		c.mem.WriteBlock(e.block, m.Data)
+	}
+	c.step(e, then)
 }
 
 func (c *Controller) applyWriteback(e *entry, m network.Msg) {
@@ -637,33 +774,19 @@ func (c *Controller) applyWriteback(e *entry, m network.Msg) {
 // local AMU. The AMU becomes a word-granularity sharer. done receives the
 // value. May queue behind an in-flight transaction.
 func (c *Controller) FineGet(addr uint64, done func(val uint64)) {
-	block := c.block(addr)
-	c.submit(block, func() {
-		e := c.entryOf(block)
-		finish := func() {
-			e.amuWords[addr] = true
-			val := c.mem.ReadWord(addr)
-			c.complete(block)
-			done(val)
-		}
-		switch e.state {
-		case unowned, shared:
-			c.occupy(c.p.DirCycles+c.p.DRAMCycles, finish)
-		case exclusive:
-			c.intervene(block, e, false, func(stale bool) {
-				// As with a GETS intervention, a stale ack means the owner
-				// already wrote back and keeps no copy: record no sharer.
-				if stale {
-					finish()
-					return
-				}
-				e.state = shared
-				e.clearSharers()
-				e.addSharer(e.owner)
-				finish()
-			})
-		}
-	})
+	j := c.acquireFine()
+	j.block, j.addr, j.got = c.block(addr), addr, done
+	c.submit(j.block, j.start)
+}
+
+// fineGet starts a fine get on e, whose txn carries the word and callback.
+func (c *Controller) fineGet(e *entry) {
+	switch e.state {
+	case unowned, shared:
+		c.occupyStep(e, c.p.DirCycles+c.p.DRAMCycles, stepFineFinish)
+	case exclusive:
+		c.intervene(e, false, stepFineDowngraded)
+	}
 }
 
 // FinePut flushes the AMU's current value of the word at addr: memory is
@@ -701,7 +824,8 @@ func (c *Controller) FineEvict(addr, val uint64) {
 
 // AMUHolds reports whether the AMU is registered for the word at addr.
 func (c *Controller) AMUHolds(addr uint64) bool {
-	return c.entryOf(c.block(addr)).amuWords[addr]
+	e := c.lookup(c.block(addr))
+	return e != nil && e.amuWords[addr]
 }
 
 // Snapshot describes a block's directory record for invariant checking.
@@ -713,9 +837,13 @@ type Snapshot struct {
 	Busy     bool
 }
 
-// SnapshotOf returns the directory record for the block containing addr.
+// SnapshotOf returns the directory record for the block containing addr;
+// a block nobody has touched reads as unowned. It creates no record.
 func (c *Controller) SnapshotOf(addr uint64) Snapshot {
-	e := c.entryOf(c.block(addr))
+	e := c.lookup(c.block(addr))
+	if e == nil {
+		e = &entry{}
+	}
 	s := Snapshot{State: e.state.String(), Owner: e.owner, Busy: e.busy}
 	s.Sharers = e.sharers.slice()
 	s.AMUWords = sortedWords(e)
@@ -725,18 +853,23 @@ func (c *Controller) SnapshotOf(addr uint64) Snapshot {
 // Blocks returns every block address this controller has a record for, in
 // ascending order.
 func (c *Controller) Blocks() []uint64 {
-	out := make([]uint64, 0, len(c.entries))
-	for b := range c.entries { //lint:order-independent (keys sorted below)
-		out = append(out, b)
+	out := []uint64{}
+	for _, e := range c.table {
+		if e != nil {
+			out = append(out, e.block)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Sharers returns the CPUs currently recorded as sharing the block at addr,
 // in ascending order (for tests and introspection).
 func (c *Controller) Sharers(addr uint64) []int {
-	return c.entryOf(c.block(addr)).sharers.slice()
+	e := c.lookup(c.block(addr))
+	if e == nil {
+		return []int{}
+	}
+	return e.sharers.slice()
 }
 
 func (c *Controller) send(m network.Msg) { c.net.Send(m) }

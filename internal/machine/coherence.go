@@ -47,6 +47,7 @@ func (m *Machine) CheckCoherence() error {
 		}
 		return m.backend.CheckQuiescence()
 	}
+	memWords := make([]uint64, m.Cfg.WordsPerBlock())
 	for _, block := range blocks {
 		cs := copies[block]
 		home := memsys.HomeNode(block)
@@ -93,7 +94,7 @@ func (m *Machine) CheckCoherence() error {
 		for _, w := range snap.AMUWords {
 			amuWord[memsys.WordIndex(w, m.Cfg.BlockBytes)] = true
 		}
-		memWords := m.Mem.ReadBlock(block)
+		m.Mem.PeekBlock(block, memWords)
 		for _, c := range shared {
 			if !registered[c.cpu] {
 				return fmt.Errorf("block %#x: cpu %d holds S but is not in directory sharers %v",

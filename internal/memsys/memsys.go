@@ -1,8 +1,14 @@
 // Package memsys models the physical memory of the simulated machine: a
 // global physical address space statically partitioned across nodes (the
 // home of an address is encoded in its high bits, as in Origin-style
-// CC-NUMA machines), a per-node bump allocator, and a sparse backing word
-// store with a fixed DRAM access latency.
+// CC-NUMA machines), a per-node bump allocator, and a dense per-node
+// backing word store with a fixed DRAM access latency.
+//
+// Each node's store is one []uint64 indexed by the word offset of an
+// address within the node's window. It grows geometrically on the first
+// write past its end and is never shrunk; reads past the end return zero.
+// Because AllocWord places every word in a block of its own, a run of
+// AllocWord results costs one block (16 words at 128 B) of store per word.
 package memsys
 
 import (
@@ -51,9 +57,30 @@ type Memory struct {
 
 // bank is one node's slice of physical memory.
 type bank struct {
-	words  map[uint64]uint64 // keyed by word-aligned address
+	words  []uint64 // indexed by wordOffset; never-written tail reads as zero
 	reads  uint64
 	writes uint64
+}
+
+// nodeMask selects the offset of an address within its home node's window.
+const nodeMask = 1<<NodeShift - 1
+
+// minBankWords is the first allocation of a bank's store: two blocks'
+// worth at the default 128-byte block size.
+const minBankWords = 32
+
+// wordOffset returns the index of addr's word in its home bank.
+func wordOffset(addr uint64) int { return int(addr & nodeMask / WordBytes) }
+
+// span returns the store words [i, i+n), growing the store to hold them.
+func (b *bank) span(i, n int) []uint64 {
+	if need := i + n; need > len(b.words) {
+		size := max(need, 2*len(b.words), minBankWords)
+		grown := make([]uint64, size)
+		copy(grown, b.words)
+		b.words = grown
+	}
+	return b.words[i : i+n]
 }
 
 // New creates a Memory for nodes nodes with the given coherence block size
@@ -71,9 +98,6 @@ func New(nodes, blockBytes int, dramCycles uint64) *Memory {
 		blockBytes: blockBytes,
 		dramCycles: dramCycles,
 	}
-	for i := range m.banks {
-		m.banks[i].words = make(map[uint64]uint64)
-	}
 	return m
 }
 
@@ -82,6 +106,8 @@ func (m *Memory) DRAMCycles() uint64 { return m.dramCycles }
 
 // Alloc reserves size bytes on node home's memory, aligned to align bytes
 // (align must be a power of two >= WordBytes), and returns the base address.
+// It panics when the node's 2^NodeShift-byte window cannot hold the
+// allocation: the address would otherwise be homed at the next node.
 func (m *Memory) Alloc(home int, size, align int) uint64 {
 	if home < 0 || home >= len(m.nextFree) {
 		panic(fmt.Sprintf("memsys: Alloc on node %d of %d", home, len(m.nextFree)))
@@ -95,6 +121,10 @@ func (m *Memory) Alloc(home int, size, align int) uint64 {
 	off := m.nextFree[home]
 	a := uint64(align)
 	off = (off + a - 1) &^ (a - 1)
+	if off > 1<<NodeShift || uint64(size) > 1<<NodeShift-off {
+		panic(fmt.Sprintf("memsys: Alloc of %d bytes on node %d overflows its %d-byte window (%d bytes in use)",
+			size, home, uint64(1)<<NodeShift, m.nextFree[home]))
+	}
 	m.nextFree[home] = off + uint64(size)
 	return NodeBase(home) + off
 }
@@ -120,7 +150,10 @@ func (m *Memory) ReadWord(addr uint64) uint64 {
 	m.checkAligned(addr)
 	b := m.bank(addr)
 	b.reads++
-	return b.words[addr]
+	if i := wordOffset(addr); i < len(b.words) {
+		return b.words[i]
+	}
+	return 0
 }
 
 // WriteWord stores val at the word-aligned address addr.
@@ -128,19 +161,13 @@ func (m *Memory) WriteWord(addr, val uint64) {
 	m.checkAligned(addr)
 	b := m.bank(addr)
 	b.writes++
-	b.words[addr] = val
+	b.span(wordOffset(addr), 1)[0] = val
 }
 
 // ReadBlock returns the words of the block containing addr.
 func (m *Memory) ReadBlock(addr uint64) []uint64 {
-	base := BlockAddr(addr, m.blockBytes)
-	n := m.blockBytes / WordBytes
-	out := make([]uint64, n)
-	b := m.bank(base)
-	b.reads++
-	for i := 0; i < n; i++ {
-		out[i] = b.words[base+uint64(i*WordBytes)]
-	}
+	out := make([]uint64, m.blockBytes/WordBytes)
+	m.ReadBlockInto(addr, out)
 	return out
 }
 
@@ -148,16 +175,23 @@ func (m *Memory) ReadBlock(addr uint64) []uint64 {
 // which must hold exactly one block. It is the allocation-free form of
 // ReadBlock for callers that bring their own (typically pooled) buffer.
 func (m *Memory) ReadBlockInto(addr uint64, out []uint64) {
+	m.PeekBlock(addr, out)
+	m.bank(addr).reads++
+}
+
+// PeekBlock reads the block containing addr into out like ReadBlockInto,
+// but counts no DRAM read: it is for checkers that inspect memory at
+// quiescence and must not show up in the machine's own counters.
+func (m *Memory) PeekBlock(addr uint64, out []uint64) {
 	base := BlockAddr(addr, m.blockBytes)
-	n := m.blockBytes / WordBytes
-	if len(out) != n {
-		panic(fmt.Sprintf("memsys: ReadBlockInto with %d words, want %d", len(out), n))
+	if n := m.blockBytes / WordBytes; len(out) != n {
+		panic(fmt.Sprintf("memsys: block read into %d words, want %d", len(out), n))
 	}
-	b := m.bank(base)
-	b.reads++
-	for i := 0; i < n; i++ {
-		out[i] = b.words[base+uint64(i*WordBytes)]
+	b, n := m.bank(base), 0
+	if i := wordOffset(base); i < len(b.words) {
+		n = copy(out, b.words[i:])
 	}
+	clear(out[n:]) // past the end of the store
 }
 
 // WriteBlock stores words (len = block words) at the block containing addr.
@@ -168,9 +202,7 @@ func (m *Memory) WriteBlock(addr uint64, words []uint64) {
 	}
 	b := m.bank(base)
 	b.writes++
-	for i, w := range words {
-		b.words[base+uint64(i*WordBytes)] = w
-	}
+	copy(b.span(wordOffset(base), len(words)), words)
 }
 
 // Stats returns the cumulative DRAM read/write transaction counters,
