@@ -45,6 +45,54 @@ func TestScheduleCallSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// farHopper is the argument of farHop: each dispatch reschedules itself
+// beyond the timing wheel until left runs out.
+type farHopper struct {
+	eng  *Sequential
+	left int
+}
+
+func farHop(a any) {
+	h := a.(*farHopper)
+	if h.left > 0 {
+		h.left--
+		h.eng.ScheduleCall(wheelSize+Time(h.left%3), farHop, h)
+	}
+}
+
+// TestScheduleFarPathSteadyStateZeroAlloc covers the queue's far path:
+// bursts mix in-wheel delays with delays of wheelSize and more, pushed both
+// from setup context and from running handlers, so bucket linking, far-heap
+// pushes and the migration of far events into the wheel all run.
+func TestScheduleFarPathSteadyStateZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	var n int
+	arg := &n
+	fn := func() { n++ }
+	hoppers := make([]farHopper, 4)
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			d := Time(i%7) * (wheelSize/2 + 1)
+			if i%2 == 0 {
+				eng.ScheduleCall(d, testCall, arg)
+			} else {
+				eng.Schedule(d, fn)
+			}
+		}
+		for i := range hoppers {
+			hoppers[i] = farHopper{eng: eng, left: 5}
+			eng.ScheduleCall(Time(i), farHop, &hoppers[i])
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	burst()
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("far-path steady state allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	defer eng.Shutdown()

@@ -19,6 +19,43 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
+// steadyDelays is the hand-off mix of BenchmarkScheduleSteadyPending: mostly
+// short delays, a quarter of them same-cycle, one in sixteen beyond the
+// timing wheel.
+var steadyDelays = [16]Time{0, 1, 0, 2, 5, 60, 100, 3, 0, 12, 200, 1, 400, 0, 30, 2 * wheelSize}
+
+type steadyLoad struct {
+	eng  *Sequential
+	left int
+	n    int
+}
+
+func steadyHop(a any) {
+	s := a.(*steadyLoad)
+	if s.left > 0 {
+		s.left--
+		s.n++
+		s.eng.ScheduleCall(steadyDelays[s.n&15], steadyHop, s)
+	}
+}
+
+// BenchmarkScheduleSteadyPending keeps 64 events pending, as a running
+// machine does, and every dispatch reschedules itself with the mixed delays
+// above. One op is one dispatched event, so ns/op is the kernel's host cost
+// per event.
+func BenchmarkScheduleSteadyPending(b *testing.B) {
+	e := NewEngine()
+	s := &steadyLoad{eng: e, left: b.N}
+	for i := 0; i < 64; i++ {
+		e.ScheduleCall(Time(i), steadyHop, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkProcessSwitch(b *testing.B) {
 	e := NewEngine()
 	const hops = 1000

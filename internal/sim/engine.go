@@ -14,8 +14,10 @@
 //
 // Two kernels implement the Engine interface:
 //
-//   - Sequential (NewSequential): a single indexed-heap event queue — the
-//     allocation-free hot path every small experiment runs on;
+//   - Sequential (NewSequential): a single event queue — a timing wheel of
+//     one-cycle buckets for events due within wheelSize cycles plus a binary
+//     heap for later ones — the allocation-free hot path every small
+//     experiment runs on;
 //   - Parallel (NewParallel): a conservative parallel kernel that partitions
 //     nodes across shards and executes lookahead windows concurrently,
 //     producing the exact event order of Sequential (see parallel.go).
@@ -95,6 +97,11 @@ func (err *ErrDeadlock) Error() string {
 // ErrDeadline is returned by RunUntil when the deadline passes with events
 // still pending.
 var ErrDeadline = fmt.Errorf("sim: deadline reached with pending events")
+
+// callFunc dispatches a Schedule event. The plain func() rides in the event's
+// arg slot — a func value is pointer-shaped, so boxing it does not allocate —
+// which leaves both kernels a single call(arg) dispatch form.
+var callFunc = func(a any) { a.(func())() }
 
 // NewEngine returns an empty sequential engine at time zero. It is the
 // historical constructor name; NewSequential is the explicit form.

@@ -63,7 +63,6 @@ type pevent struct {
 	at    Time
 	seq   uint64
 	local int32
-	fn    func()
 	call  func(any)
 	arg   any
 }
@@ -81,7 +80,6 @@ type pushRec struct {
 	pusherAt  Time
 	pusherSeq uint64 // 0: pusher itself was pushed this window
 	pusherLoc int32  // pusher's push-log index when pusherSeq == 0
-	fn        func()
 	call      func(any)
 	arg       any
 }
@@ -462,7 +460,7 @@ func (par *Parallel) boundary() {
 			pr := &s.pushLog[i]
 			if pr.slot < 0 {
 				d := par.shards[pr.dst]
-				d.insert(pevent{at: pr.at, seq: pr.seq, local: -1, fn: pr.fn, call: pr.call, arg: pr.arg})
+				d.insert(pevent{at: pr.at, seq: pr.seq, local: -1, call: pr.call, arg: pr.arg})
 			}
 			*pr = pushRec{}
 		}
@@ -500,7 +498,7 @@ func (s *shard) runWindow(end Time) {
 		if ev.local >= 0 {
 			s.pushLog[ev.local].executed = true
 		}
-		fn, call, arg := ev.fn, ev.call, ev.arg
+		call, arg := ev.call, ev.arg
 		*ev = pevent{local: -1}
 		last := len(s.order) - 1
 		s.order[0] = s.order[last]
@@ -510,11 +508,7 @@ func (s *shard) runWindow(end Time) {
 		}
 		s.free = append(s.free, id)
 		s.executed++
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+		call(arg)
 	}
 	s.inEvent = false
 	s.curLocal = -1
@@ -587,10 +581,10 @@ func (s *shard) siftDown(i int) {
 // the push log; outside one (setup, phase attachment, quiescence wakeups)
 // the coordinator's counter assigns the global sequence immediately, which
 // is exactly when the sequential kernel would assign it.
-func (s *shard) push(at Time, fn func(), call func(any), arg any) {
+func (s *shard) push(at Time, call func(any), arg any) {
 	if !s.inEvent {
 		s.par.seq++ //lint:coordinator-context — no window is running, the caller is setup/phase code
-		s.insert(pevent{at: at, seq: s.par.seq, local: -1, fn: fn, call: call, arg: arg})
+		s.insert(pevent{at: at, seq: s.par.seq, local: -1, call: call, arg: arg})
 		return
 	}
 	s.pushLog = append(s.pushLog, pushRec{
@@ -606,7 +600,7 @@ func (s *shard) push(at Time, fn func(), call func(any), arg any) {
 		s.arena = append(s.arena, pevent{})
 		id = int32(len(s.arena) - 1)
 	}
-	s.arena[id] = pevent{at: at, seq: 0, local: recIdx, fn: fn, call: call, arg: arg}
+	s.arena[id] = pevent{at: at, seq: 0, local: recIdx, call: call, arg: arg}
 	s.pushLog[recIdx].slot = id
 	s.order = append(s.order, id)
 	s.siftUp(len(s.order) - 1)
@@ -642,7 +636,7 @@ func (s *shard) Schedule(delay Time, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
-	s.push(s.now+delay, fn, nil, nil)
+	s.push(s.now+delay, callFunc, fn)
 }
 
 // ScheduleCall implements Engine on the shard view.
@@ -650,7 +644,7 @@ func (s *shard) ScheduleCall(delay Time, call func(any), arg any) {
 	if call == nil {
 		panic("sim: ScheduleCall with nil call")
 	}
-	s.push(s.now+delay, nil, call, arg)
+	s.push(s.now+delay, call, arg)
 }
 
 // ScheduleCallNode implements Engine on the shard view: same-shard targets
@@ -661,7 +655,7 @@ func (s *shard) ScheduleCallNode(node int, delay Time, call func(any), arg any) 
 	}
 	dst := s.par.nodeShard[node]
 	if dst == s.id {
-		s.push(s.now+delay, nil, call, arg)
+		s.push(s.now+delay, call, arg)
 		return
 	}
 	s.pushCross(dst, s.now+delay, call, arg)

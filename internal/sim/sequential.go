@@ -1,34 +1,66 @@
 package sim
 
-// event is one arena slot. Exactly one of fn / call is set: fn is the
-// plain-closure form (Schedule), call+arg the prebound allocation-free form
-// (ScheduleCall).
+import "math/bits"
+
+// Timing-wheel geometry. Hand-off delays in the modelled machine are short
+// and bounded by the Table 1 parameters, so nearly every push is due within
+// wheelSize cycles (DESIGN.md §12 has the delay histogram behind the size).
+// The size is fixed, not a knob; it must be a power of two and a multiple of
+// 64, one occupancy-bitmap word per 64 buckets.
+const (
+	wheelSize = 1024
+	wheelMask = wheelSize - 1
+)
+
+// event is one arena slot: call(arg) runs at cycle at. seq is the global
+// push order, which breaks ties in the far heap; next links the slot into
+// its wheel bucket's FIFO.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
+	next int32
 }
 
-// Sequential is the single-heap discrete-event kernel: one event queue, one
+// Sequential is the single-queue discrete-event kernel: one event queue, one
 // clock, events dispatched strictly in (time, sequence) order. The zero
 // value is not usable; create one with NewSequential.
 //
-// The event queue is allocation-free in steady state: events live in a
-// pooled arena recycled through a free list, and the priority queue is an
-// indexed binary heap of arena slots, so neither scheduling nor dispatch
-// boxes through interfaces or grows the heap once the arena has warmed up.
-// Hot callers use ScheduleCall with a prebound func(any) plus a pointer
-// argument, which stores both without allocating.
+// The queue is a timing wheel plus a far heap. An event due less than
+// wheelSize cycles ahead is appended to the FIFO bucket of its due cycle;
+// later events wait in a binary heap ordered by (time, sequence). Whenever
+// the clock advances to a new cycle, every far event that has come within
+// wheelSize cycles moves to its bucket in heap order, before any event of
+// the new cycle runs or pushes. A far event for cycle T was pushed while T
+// was still at least wheelSize cycles away, so it precedes every event later
+// pushed straight into T's bucket; a bucket therefore always holds one
+// cycle's events in push order, and the dispatch order is exactly the
+// (time, sequence) order of a single heap.
+//
+// The queue is allocation-free in steady state: events live in a pooled
+// arena recycled through a free list, and the buckets and the heap hold
+// arena slots, so neither scheduling nor dispatch boxes through interfaces
+// or grows anything once the arena has warmed up. Hot callers use
+// ScheduleCall with a prebound func(any) plus a pointer argument, which
+// stores both without allocating.
 type Sequential struct {
 	now Time
 	seq uint64
 	// arena holds every event slot ever allocated; free lists the recycled
-	// slots; order is the binary heap of live slots in (at, seq) order.
-	arena    []event
-	free     []int32
-	order    []int32
+	// slots.
+	arena []event
+	free  []int32
+	// head and tail delimit each wheel bucket's FIFO; they are meaningful
+	// only while the bucket's bit in occupied is set. near counts the events
+	// in the wheel.
+	head     [wheelSize]int32
+	tail     [wheelSize]int32
+	occupied [wheelSize / 64]uint64
+	near     int
+	// far is the binary heap of slots due wheelSize or more cycles after
+	// the clock, in (at, seq) order.
+	far      []int32
 	executed uint64
 	procs    int // live (spawned, not yet finished) processes
 	// plist records every spawned process so Shutdown can unwind the parked
@@ -62,7 +94,7 @@ func (e *Sequential) NumShards() int { return 1 }
 // NodeShard implements Engine.
 func (e *Sequential) NodeShard(node int) int { return 0 }
 
-// Emit implements Engine: with a single heap, execution order is emission
+// Emit implements Engine: with a single queue, execution order is emission
 // order, so records flow straight to the sink.
 func (e *Sequential) Emit(cycle uint64, kind, what string) {
 	if e.sink != nil {
@@ -80,7 +112,7 @@ func (e *Sequential) Schedule(delay Time, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
-	e.push(e.now+delay, fn, nil, nil)
+	e.push(e.now+delay, callFunc, fn)
 }
 
 // ScheduleCall runs call(arg) at now+delay. It is the allocation-free form
@@ -91,7 +123,7 @@ func (e *Sequential) ScheduleCall(delay Time, call func(any), arg any) {
 	if call == nil {
 		panic("sim: ScheduleCall with nil call")
 	}
-	e.push(e.now+delay, nil, call, arg)
+	e.push(e.now+delay, call, arg)
 }
 
 // ScheduleCallNode implements Engine: with a single shard the destination
@@ -100,7 +132,7 @@ func (e *Sequential) ScheduleCallNode(node int, delay Time, call func(any), arg 
 	e.ScheduleCall(delay, call, arg)
 }
 
-func (e *Sequential) push(at Time, fn func(), call func(any), arg any) {
+func (e *Sequential) push(at Time, call func(any), arg any) {
 	e.seq++
 	var id int32
 	if n := len(e.free); n > 0 {
@@ -111,9 +143,72 @@ func (e *Sequential) push(at Time, fn func(), call func(any), arg any) {
 		id = int32(len(e.arena) - 1)
 	}
 	ev := &e.arena[id]
-	ev.at, ev.seq, ev.fn, ev.call, ev.arg = at, e.seq, fn, call, arg
-	e.order = append(e.order, id)
-	e.siftUp(len(e.order) - 1)
+	ev.at, ev.seq, ev.call, ev.arg = at, e.seq, call, arg
+	if at-e.now < wheelSize {
+		// The free-list slot's ownership passes to its bucket.
+		e.link(id) //lint:owns-transfer
+		return
+	}
+	if at < e.now {
+		// The delay overflowed the clock: the event would be due before
+		// the current cycle.
+		panic("sim: time went backwards")
+	}
+	e.far = append(e.far, id)
+	e.siftUp(len(e.far) - 1)
+}
+
+// link appends slot id to the FIFO of its due cycle's wheel bucket.
+func (e *Sequential) link(id int32) {
+	b := e.arena[id].at & wheelMask
+	w, bit := b>>6, uint64(1)<<(b&63)
+	if e.occupied[w]&bit == 0 {
+		e.occupied[w] |= bit
+		e.head[b] = id
+	} else {
+		e.arena[e.tail[b]].next = id
+	}
+	e.tail[b] = id
+	e.near++
+}
+
+// due returns the wheel bucket holding the earliest pending wheel event: the
+// first occupied bucket at or after the clock's, wrapping around. The wheel
+// must not be empty.
+func (e *Sequential) due() int {
+	i := int(e.now & wheelMask)
+	w := i >> 6
+	if m := e.occupied[w] >> (i & 63); m != 0 {
+		return i + bits.TrailingZeros64(m)
+	}
+	for k := 1; k < len(e.occupied); k++ {
+		ww := (w + k) % len(e.occupied)
+		if m := e.occupied[ww]; m != 0 {
+			return ww<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	// Wrapped all the way round: the earliest event lies below i in word w.
+	return w<<6 + bits.TrailingZeros64(e.occupied[w])
+}
+
+// advance moves the clock to t and migrates every far event now due within
+// wheelSize cycles into its bucket, in heap order. It runs before any event
+// at t is dispatched, so migrated events precede every later direct push.
+func (e *Sequential) advance(t Time) {
+	e.now = t
+	for len(e.far) > 0 {
+		id := e.far[0]
+		if e.arena[id].at-t >= wheelSize {
+			return
+		}
+		last := len(e.far) - 1
+		e.far[0] = e.far[last]
+		e.far = e.far[:last]
+		if last > 0 {
+			e.siftDown(0)
+		}
+		e.link(id)
+	}
 }
 
 func (e *Sequential) less(a, b int32) bool {
@@ -127,35 +222,35 @@ func (e *Sequential) less(a, b int32) bool {
 func (e *Sequential) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(e.order[i], e.order[parent]) {
+		if !e.less(e.far[i], e.far[parent]) {
 			break
 		}
-		e.order[i], e.order[parent] = e.order[parent], e.order[i]
+		e.far[i], e.far[parent] = e.far[parent], e.far[i]
 		i = parent
 	}
 }
 
 func (e *Sequential) siftDown(i int) {
-	n := len(e.order)
+	n := len(e.far)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && e.less(e.order[r], e.order[l]) {
+		if r := l + 1; r < n && e.less(e.far[r], e.far[l]) {
 			m = r
 		}
-		if !e.less(e.order[m], e.order[i]) {
+		if !e.less(e.far[m], e.far[i]) {
 			break
 		}
-		e.order[i], e.order[m] = e.order[m], e.order[i]
+		e.far[i], e.far[m] = e.far[m], e.far[i]
 		i = m
 	}
 }
 
 // Pending reports the number of queued events.
-func (e *Sequential) Pending() int { return len(e.order) }
+func (e *Sequential) Pending() int { return e.near + len(e.far) }
 
 // LiveProcesses reports the number of spawned processes that have not yet
 // returned.
@@ -177,33 +272,41 @@ func (e *Sequential) RunUntil(deadline Time) error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	for len(e.order) > 0 && !e.stopped {
-		id := e.order[0]
-		ev := &e.arena[id]
-		if ev.at > deadline {
+	for !e.stopped {
+		var b int
+		var at Time
+		if e.near > 0 {
+			b = e.due()
+			at = e.now + Time((b-int(e.now&wheelMask))&wheelMask)
+		} else if len(e.far) > 0 {
+			// The wheel is empty: jump to the earliest far event, which
+			// advance then migrates into its bucket.
+			at = e.arena[e.far[0]].at
+			b = int(at & wheelMask)
+		} else {
+			break
+		}
+		if at > deadline {
 			return ErrDeadline
 		}
-		if ev.at < e.now {
-			panic("sim: time went backwards")
+		if at != e.now {
+			e.advance(at)
 		}
-		e.now = ev.at
-		fn, call, arg := ev.fn, ev.call, ev.arg
+		id := e.head[b]
+		ev := &e.arena[id]
+		if id == e.tail[b] {
+			e.occupied[b>>6] &^= 1 << (b & 63)
+		} else {
+			e.head[b] = ev.next
+		}
+		e.near--
+		call, arg := ev.call, ev.arg
 		// Release the slot before dispatching so the handler can reuse it;
 		// zero it defensively so stale callbacks can never leak.
 		*ev = event{}
-		last := len(e.order) - 1
-		e.order[0] = e.order[last]
-		e.order = e.order[:last]
-		if last > 0 {
-			e.siftDown(0)
-		}
 		e.free = append(e.free, id)
 		e.executed++
-		if fn != nil {
-			fn()
-		} else {
-			call(arg)
-		}
+		call(arg)
 	}
 	if e.procs > 0 && !e.stopped {
 		return &ErrDeadlock{At: e.now, Procs: e.procs}
