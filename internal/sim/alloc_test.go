@@ -93,6 +93,9 @@ func TestScheduleFarPathSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestProcessSwitchSteadyStateZeroAlloc keeps four spinners in lockstep, so
+// another spinner's wake is always due by the time a sleep would end and no
+// sleep runs ahead: every sleep is a real coroutine round trip.
 func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	defer eng.Shutdown()
@@ -113,5 +116,41 @@ func TestProcessSwitchSteadyStateZeroAlloc(t *testing.T) {
 	window() // warm: grow the event arena and heap to their steady size
 	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 		t.Fatalf("process context switching allocates %.1f/op, want 0", allocs)
+	}
+	if eng.aheads != 0 {
+		t.Fatalf("%d lockstep sleeps ran ahead; the test must time real switches", eng.aheads)
+	}
+}
+
+// TestSleepRunAheadSteadyStateZeroAlloc covers the other path: a lone
+// sleeper, whose every sleep but the one that crosses a window's deadline
+// runs ahead.
+func TestSleepRunAheadSteadyStateZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	defer eng.Shutdown()
+	eng.Spawn("sleeper", 0, func(p *Process) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	const width = 1000
+	// Warm up: the first window's sleeps all run ahead, and the one that
+	// crosses its deadline parks with its wake due at width+1.
+	deadline := Time(width)
+	if err := eng.RunUntil(deadline); err != ErrDeadline {
+		t.Fatalf("RunUntil = %v, want ErrDeadline", err)
+	}
+	window := func() {
+		deadline += width
+		before := eng.aheads
+		if err := eng.RunUntil(deadline); err != ErrDeadline {
+			t.Fatalf("RunUntil = %v, want ErrDeadline (the sleeper never finishes)", err)
+		}
+		if n := eng.aheads - before; n != width-1 {
+			t.Fatalf("%d of %d sleeps ran ahead in the window, want %d", n, width, width-1)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+		t.Fatalf("run-ahead sleeping allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -56,23 +56,44 @@ func BenchmarkScheduleSteadyPending(b *testing.B) {
 	}
 }
 
-func BenchmarkProcessSwitch(b *testing.B) {
+// benchSleeps times procs processes that each sleep one cycle at a time, b.N
+// sleeps in all (rounded up to a multiple of procs), so ns/op is the host
+// cost of one sleep. It returns the engine for the caller's path check.
+func benchSleeps(b *testing.B, procs int) *Sequential {
 	e := NewEngine()
-	const hops = 1000
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	n := (b.N + procs - 1) / procs
+	for i := 0; i < procs; i++ {
 		e.Spawn("p", 0, func(p *Process) {
-			for j := 0; j < hops; j++ {
+			for j := 0; j < n; j++ {
 				p.Sleep(1)
 			}
 		})
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 	e.Shutdown()
+	return e
+}
+
+// BenchmarkProcessSwitch keeps two processes in lockstep: each one's wake is
+// queued behind the other's, so no sleep runs ahead and every op is a full
+// coroutine round trip (park, dispatch, resume).
+func BenchmarkProcessSwitch(b *testing.B) {
+	if e := benchSleeps(b, 2); e.aheads != 0 {
+		b.Fatalf("%d sleeps ran ahead; the benchmark must time real switches", e.aheads)
+	}
+}
+
+// BenchmarkSleepRunAhead times a lone sleeper: nothing else is queued, so
+// every sleep completes in place without a coroutine switch.
+func BenchmarkSleepRunAhead(b *testing.B) {
+	if e := benchSleeps(b, 1); e.aheads != uint64(b.N) {
+		b.Fatalf("%d of %d sleeps ran ahead, want all", e.aheads, b.N)
+	}
 }
 
 func BenchmarkCondBroadcast(b *testing.B) {

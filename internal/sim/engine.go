@@ -17,7 +17,11 @@
 //   - Sequential (NewSequential): a single event queue — a timing wheel of
 //     one-cycle buckets for events due within wheelSize cycles plus a binary
 //     heap for later ones — the allocation-free hot path every small
-//     experiment runs on;
+//     experiment runs on. It also runs sleeps ahead: when a sleeping
+//     process's wake would be the very next event, the kernel dispatches it
+//     in place and the process continues without a coroutine switch, with
+//     the clock, sequence and executed count moving exactly as the dispatch
+//     would move them (see Process.Sleep);
 //   - Parallel (NewParallel): a conservative parallel kernel that partitions
 //     nodes across shards and executes lookahead windows concurrently,
 //     producing the exact event order of Sequential (see parallel.go).

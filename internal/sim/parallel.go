@@ -708,6 +708,12 @@ func (s *shard) schedCall(delay Time, call func(any), arg any) {
 
 func (s *shard) clock() Time { return s.now }
 
+// runAhead never completes a sleep in place on a shard: the window boundary
+// assigns global sequences by ranking each push under the event that pushed
+// it, and a wake completed in place would leave the process's later pushes
+// no event of their own to rank under.
+func (s *shard) runAhead(Time) bool { return false }
+
 func (s *shard) procStart(p *Process) {
 	s.procs++
 	s.plist = append(s.plist, p)

@@ -13,6 +13,10 @@ import "iter"
 type scheduler interface {
 	schedCall(delay Time, call func(any), arg any)
 	clock() Time
+	// runAhead reports whether a sleep of d cycles was completed in place
+	// because its wake would be the next event dispatched; see
+	// Sequential.runAhead.
+	runAhead(d Time) bool
 	procStart(p *Process)
 	procExit()
 }
@@ -104,7 +108,17 @@ func (p *Process) Now() Time { return p.eng.clock() }
 
 // Sleep suspends the process for d cycles. Sleep(0) yields to other work
 // scheduled at the current instant.
+//
+// On the sequential kernel a sleep runs ahead when no other event is due at
+// or before its wake cycle and the run is neither stopped nor past its
+// deadline by then: the kernel dispatches the wake in place (clock, sequence
+// number and executed count move exactly as a dispatch would move them) and
+// the process continues without a coroutine switch. What the simulation
+// observes is the same either way.
 func (p *Process) Sleep(d Time) {
+	if p.eng.runAhead(d) {
+		return
+	}
 	p.eng.schedCall(d, dispatchCall, p)
 	p.park()
 }

@@ -68,9 +68,13 @@ type Sequential struct {
 	plist    []*Process
 	stopped  bool
 	shutdown bool
-	// running guards against re-entrant Run calls from event handlers.
-	running bool
-	sink    func(cycle uint64, kind, what string)
+	// running guards against re-entrant Run calls from event handlers;
+	// deadline is the bound of the RunUntil in progress.
+	running  bool
+	deadline Time
+	// aheads counts the sleeps that ran ahead (see runAhead).
+	aheads uint64
+	sink   func(cycle uint64, kind, what string)
 }
 
 // NewSequential returns an empty engine at time zero.
@@ -191,6 +195,20 @@ func (e *Sequential) due() int {
 	return w<<6 + bits.TrailingZeros64(e.occupied[w])
 }
 
+// nextAt returns the cycle of the earliest pending event, or false when the
+// queue is empty. Far events are due at least wheelSize cycles after the
+// clock and wheel events less, so a non-empty wheel always holds the
+// earliest one.
+func (e *Sequential) nextAt() (Time, bool) {
+	if e.near > 0 {
+		return e.now + Time((e.due()-int(e.now&wheelMask))&wheelMask), true
+	}
+	if len(e.far) > 0 {
+		return e.arena[e.far[0]].at, true
+	}
+	return 0, false
+}
+
 // advance moves the clock to t and migrates every far event now due within
 // wheelSize cycles into its bucket, in heap order. It runs before any event
 // at t is dispatched, so migrated events precede every later direct push.
@@ -271,27 +289,22 @@ func (e *Sequential) RunUntil(deadline Time) error {
 		panic("sim: re-entrant Run")
 	}
 	e.running = true
+	e.deadline = deadline
 	defer func() { e.running = false }()
 	for !e.stopped {
-		var b int
-		var at Time
-		if e.near > 0 {
-			b = e.due()
-			at = e.now + Time((b-int(e.now&wheelMask))&wheelMask)
-		} else if len(e.far) > 0 {
-			// The wheel is empty: jump to the earliest far event, which
-			// advance then migrates into its bucket.
-			at = e.arena[e.far[0]].at
-			b = int(at & wheelMask)
-		} else {
+		at, ok := e.nextAt()
+		if !ok {
 			break
 		}
 		if at > deadline {
 			return ErrDeadline
 		}
 		if at != e.now {
+			// A far event's cycle may have no bucket yet: advance migrates
+			// it into one.
 			e.advance(at)
 		}
+		b := int(at & wheelMask)
 		id := e.head[b]
 		ev := &e.arena[id]
 		if id == e.tail[b] {
@@ -340,6 +353,30 @@ func (e *Sequential) schedCall(delay Time, call func(any), arg any) {
 }
 
 func (e *Sequential) clock() Time { return e.now }
+
+// runAhead dispatches a sleeping process's wake in place when that wake
+// would be the very next event: the run is neither stopped nor about to pass
+// its deadline, now+d does not wrap the clock, and no pending event is due
+// at or before now+d (one due at that cycle was pushed earlier, so it would
+// run first). It then does what
+// dispatching the wake would have done — consume a sequence number, move the
+// clock, count the event — and reports true, and the process carries on
+// without parking. Otherwise it reports false and the process must push its
+// wake and park.
+func (e *Sequential) runAhead(d Time) bool {
+	t := e.now + d
+	if e.stopped || t > e.deadline || t < e.now {
+		return false
+	}
+	if at, ok := e.nextAt(); ok && at <= t {
+		return false
+	}
+	e.seq++
+	e.advance(t)
+	e.executed++
+	e.aheads++
+	return true
+}
 
 func (e *Sequential) procStart(p *Process) {
 	e.procs++
