@@ -188,9 +188,10 @@ trap 'rm -f "$tmpjson" "$seqout" "$parout" "$xjson" "$tjson" "$pdesjson"' EXIT
 go run ./cmd/amotables -bench-pdes "$pdesjson" -bench-pdes-gate BENCH_pdes.json
 
 echo "== hot path: zero-alloc regression tests"
-# The pooled event and message paths, the home-node directory transactions
-# and the backing store are pinned at exactly 0 allocs/op.
-go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/directory ./internal/memsys
+# The pooled event and message paths, the home-node directory transactions,
+# the backing store and the processor caches' hit paths are pinned at
+# exactly 0 allocs/op.
+go test -run 'ZeroAlloc' ./internal/sim ./internal/network ./internal/directory ./internal/memsys ./internal/cache
 
 echo "== hot path: determinism and throughput gate"
 # Generate the hot-path document twice: every non-Host field (simulated

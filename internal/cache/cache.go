@@ -7,6 +7,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"amosim/internal/memsys"
@@ -37,12 +38,27 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Line is one resident cache block.
+// Line is one resident cache block. A *Line from Lookup stays valid until
+// the line itself is replaced or invalidated: lines never move.
 type Line struct {
 	Addr  uint64 // block-aligned address
 	State State
 	Words []uint64
 	lru   uint64
+}
+
+// Word returns the word at addr of a line Lookup returned for addr.
+func (ln *Line) Word(addr uint64) uint64 {
+	return ln.Words[(addr/memsys.WordBytes)&uint64(len(ln.Words)-1)]
+}
+
+// SetWord stores val at addr in a line Lookup returned for addr; the line
+// must be Modified.
+func (ln *Line) SetWord(addr, val uint64) {
+	if ln.State != Modified {
+		panic(fmt.Sprintf("cache: SetWord %#x without Modified line (state %v)", addr, ln.State))
+	}
+	ln.Words[(addr/memsys.WordBytes)&uint64(len(ln.Words)-1)] = val
 }
 
 // Victim describes a block displaced by Insert.
@@ -52,13 +68,26 @@ type Victim struct {
 	Words []uint64
 }
 
-// Cache is a sets x ways block cache.
+// Cache is a sets x ways block cache whose sets are allocated the first
+// time Insert fills them. A synchronization run touches a handful of
+// blocks per CPU, so most sets of the modeled L2 are never filled and cost
+// only their 4-byte slot.
 type Cache struct {
-	sets       int
 	ways       int
 	blockBytes int
-	lines      []Line // flat [set*ways+way] backing, one allocation
-	tick       uint64
+	blockShift uint   // log2(blockBytes)
+	setMask    uint64 // sets - 1
+
+	// slot[s] is 0 while set s was never filled. Otherwise it is k+1 for
+	// the set's fill ordinal k >= 1, and its ways are chunk
+	// j = bits.Len32(k+1)-2 of the slab, at line (k+1 - 2<<j) * ways.
+	// Chunk j holds 2<<j sets (the last one only as many as remain), so
+	// the slab grows geometrically, a filled set never moves, and the two
+	// sets a barrier run typically fills share the first chunk.
+	slot   []uint32
+	chunks [][]Line
+	filled uint32
+	tick   uint64
 
 	// recycle, when set, receives word buffers the cache drops silently
 	// (replaced-in-place contents, clean victims), so callers running a
@@ -70,23 +99,35 @@ type Cache struct {
 	evictions uint64
 }
 
-// New builds a cache with the given geometry. sets must be a power of two.
+// New builds a cache with the given geometry. sets and blockBytes must be
+// powers of two.
 func New(sets, ways, blockBytes int) *Cache { return &NewBank(1, sets, ways, blockBytes)[0] }
 
-// NewBank builds n caches of one geometry with their headers in one
-// allocation. Each cache's lines stay a separate allocation: one slab of
-// every line of a 1024-CPU machine raised the benchmark's peak RSS by a
-// fifth.
+// NewBank builds n caches of one geometry. Their headers share one
+// allocation and their set slots another; no line is allocated until
+// Insert fills its set. A synchronization run fills one or two of a CPU's
+// sets, and every line up front (24.5 KB per CPU at the Table 1 geometry)
+// would be most of a 1024-CPU machine's construction cost.
 func NewBank(n, sets, ways, blockBytes int) []Cache {
-	if sets <= 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: sets must be a positive power of two, got %d", sets))
+	if sets <= 0 || sets&(sets-1) != 0 || sets > 1<<31 {
+		panic(fmt.Sprintf("cache: sets must be a power of two from 1 to 2^31, got %d", sets))
 	}
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache: ways must be positive, got %d", ways))
 	}
+	if blockBytes < memsys.WordBytes || blockBytes&(blockBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: block bytes must be a power of two of at least a word, got %d", blockBytes))
+	}
 	bank := make([]Cache, n)
+	slots := make([]uint32, n*sets)
 	for i := range bank {
-		bank[i] = Cache{sets: sets, ways: ways, blockBytes: blockBytes, lines: make([]Line, sets*ways)}
+		bank[i] = Cache{
+			ways:       ways,
+			blockBytes: blockBytes,
+			blockShift: uint(bits.TrailingZeros(uint(blockBytes))),
+			setMask:    uint64(sets - 1),
+			slot:       slots[i*sets : (i+1)*sets : (i+1)*sets],
+		}
 	}
 	return bank
 }
@@ -97,23 +138,39 @@ func NewBank(n, sets, ways, blockBytes int) []Cache {
 // buffers cycle instead of garbage-collecting.
 func (c *Cache) SetRecycler(fn func([]uint64)) { c.recycle = fn }
 
-func (c *Cache) setOf(block uint64) int {
-	return int((block / uint64(c.blockBytes)) % uint64(c.sets))
+// set returns the ways of the set holding addr, or nil if that set was
+// never filled.
+func (c *Cache) set(addr uint64) []Line {
+	m := c.slot[(addr>>c.blockShift)&c.setMask]
+	if m == 0 {
+		return nil
+	}
+	j := bits.Len32(m) - 2
+	base := int(m-2<<j) * c.ways
+	return c.chunks[j][base : base+c.ways : base+c.ways]
 }
 
-// set returns the ways of one set as a slice of the flat backing array.
-func (c *Cache) set(i int) []Line {
-	return c.lines[i*c.ways : (i+1)*c.ways]
+// fill gives the never-filled set holding addr its ways, growing the slab
+// by a chunk when the last one is full, and returns them.
+func (c *Cache) fill(addr uint64) []Line {
+	c.filled++
+	m := c.filled + 1
+	c.slot[(addr>>c.blockShift)&c.setMask] = m
+	if j := bits.Len32(m) - 2; j == len(c.chunks) {
+		sets := min(2<<j, len(c.slot)+2-2<<j)
+		c.chunks = append(c.chunks, make([]Line, sets*c.ways))
+	}
+	return c.set(addr)
 }
 
 // BlockBytes returns the line size.
 func (c *Cache) BlockBytes() int { return c.blockBytes }
 
 // Lookup returns the resident line containing addr, or nil. It does not
-// update LRU state; use Touch for accesses.
+// update LRU state; use Hit for accesses.
 func (c *Cache) Lookup(addr uint64) *Line {
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
+	set := c.set(block)
 	for i := range set {
 		if set[i].State != Invalid && set[i].Addr == block {
 			return &set[i]
@@ -122,20 +179,21 @@ func (c *Cache) Lookup(addr uint64) *Line {
 	return nil
 }
 
-// Touch marks the line containing addr most-recently used and counts a hit.
-func (c *Cache) Touch(addr uint64) {
-	if ln := c.Lookup(addr); ln != nil {
-		c.tick++
-		ln.lru = c.tick
-		c.hits++
-	}
+// Hit counts a hit on ln, a line Lookup returned for addr, marks it most
+// recently used, and returns the word at addr.
+func (c *Cache) Hit(ln *Line, addr uint64) uint64 {
+	c.tick++
+	ln.lru = c.tick
+	c.hits++
+	return ln.Word(addr)
 }
 
 // Insert installs a block with the given state and contents, returning a
 // displaced dirty victim if the chosen way held a Modified block (Shared
 // victims are dropped silently; the directory's sharer list stays a
 // conservative superset). Inserting over the same block replaces it in
-// place. words is retained by the cache; callers must not alias it.
+// place. words is retained by the cache; callers must not alias it. Insert
+// is the only call that allocates: it fills a never-filled set.
 func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 	if st == Invalid {
 		panic("cache: Insert with Invalid state")
@@ -144,7 +202,10 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 		panic(fmt.Sprintf("cache: Insert with %d words, want %d", len(words), c.blockBytes/memsys.WordBytes))
 	}
 	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
+	set := c.set(block)
+	if set == nil {
+		set = c.fill(block)
+	}
 	c.tick++
 	c.misses++
 	// Replace in place if resident.
@@ -191,16 +252,13 @@ func (c *Cache) Insert(addr uint64, st State, words []uint64) (Victim, bool) {
 // Invalidate drops the line containing addr if resident, returning its prior
 // state and words (for intervention replies). Returns Invalid if absent.
 func (c *Cache) Invalidate(addr uint64) (State, []uint64) {
-	block := memsys.BlockAddr(addr, c.blockBytes)
-	set := c.set(c.setOf(block))
-	for i := range set {
-		if set[i].State != Invalid && set[i].Addr == block {
-			st, w := set[i].State, set[i].Words
-			set[i] = Line{}
-			return st, w
-		}
+	ln := c.Lookup(addr)
+	if ln == nil {
+		return Invalid, nil
 	}
-	return Invalid, nil
+	st, w := ln.State, ln.Words
+	*ln = Line{}
+	return st, w
 }
 
 // Downgrade moves the line containing addr from Modified to Shared,
@@ -239,39 +297,15 @@ func (c *Cache) PatchWord(addr uint64, val uint64) bool {
 	return true
 }
 
-// ReadWord returns the word at addr from a resident line.
-func (c *Cache) ReadWord(addr uint64) (uint64, bool) {
-	ln := c.Lookup(addr)
-	if ln == nil {
-		return 0, false
-	}
-	return ln.Words[memsys.WordIndex(addr, c.blockBytes)], true
-}
-
-// WriteWord stores val at addr in a resident line; the caller must already
-// hold the block in Modified state.
-func (c *Cache) WriteWord(addr uint64, val uint64) {
-	ln := c.Lookup(addr)
-	if ln == nil || ln.State != Modified {
-		panic(fmt.Sprintf("cache: WriteWord %#x without Modified line (state %v)", addr, lineState(ln)))
-	}
-	ln.Words[memsys.WordIndex(addr, c.blockBytes)] = val
-}
-
-func lineState(ln *Line) State {
-	if ln == nil {
-		return Invalid
-	}
-	return ln.State
-}
-
 // ResidentBlocks returns the block addresses of every valid line, in
 // ascending order (for coherence checking and introspection).
 func (c *Cache) ResidentBlocks() []uint64 {
 	var out []uint64
-	for i := range c.lines {
-		if c.lines[i].State != Invalid {
-			out = append(out, c.lines[i].Addr)
+	for _, chunk := range c.chunks {
+		for i := range chunk {
+			if chunk[i].State != Invalid {
+				out = append(out, chunk[i].Addr)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -279,7 +313,7 @@ func (c *Cache) ResidentBlocks() []uint64 {
 }
 
 // Stats returns the cumulative hit/miss/eviction counters (hits counted by
-// Touch, misses by Insert).
+// Hit, misses by Insert).
 func (c *Cache) Stats() metrics.CacheStats {
 	return metrics.CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions}
 }

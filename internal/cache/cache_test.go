@@ -20,6 +20,8 @@ func TestNewPanics(t *testing.T) {
 		func() { New(0, 4, bb) },
 		func() { New(3, 4, bb) }, // not power of two
 		func() { New(4, 0, bb) },
+		func() { New(4, 2, 96) }, // block not a power of two
+		func() { New(4, 2, 4) },  // block smaller than a word
 	} {
 		func() {
 			defer func() {
@@ -42,8 +44,8 @@ func TestInsertLookup(t *testing.T) {
 	if ln == nil || ln.State != Shared {
 		t.Fatalf("line = %+v", ln)
 	}
-	if v, ok := c.ReadWord(0x1008); !ok || v != 7 {
-		t.Fatalf("ReadWord = %d, %v", v, ok)
+	if v := ln.Word(0x1008); v != 7 {
+		t.Fatalf("Word = %d", v)
 	}
 }
 
@@ -54,7 +56,7 @@ func TestInsertReplacesInPlace(t *testing.T) {
 	if dirty {
 		t.Fatalf("in-place replace produced victim %+v", v)
 	}
-	if got, _ := c.ReadWord(0x1000); got != 2 {
+	if got := c.Lookup(0x1000).Word(0x1000); got != 2 {
 		t.Fatalf("word = %d, want 2", got)
 	}
 }
@@ -66,7 +68,7 @@ func TestLRUEvictionPrefersInvalidThenOldest(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("evictions = %d, want 0", st.Evictions)
 	}
-	c.Touch(0x0000) // make first block MRU
+	c.Hit(c.Lookup(0x0000), 0x0000) // make first block MRU
 	v, dirty := c.Insert(0x2000, Shared, words(3))
 	if dirty {
 		t.Fatalf("shared victim reported dirty: %+v", v)
@@ -134,15 +136,16 @@ func TestPatchWord(t *testing.T) {
 	if !c.PatchWord(0x1010, 42) {
 		t.Fatal("patch failed")
 	}
-	if v, _ := c.ReadWord(0x1010); v != 42 {
+	ln := c.Lookup(0x1000)
+	if v := ln.Word(0x1010); v != 42 {
 		t.Fatalf("word = %d, want 42", v)
 	}
-	if v, _ := c.ReadWord(0x1008); v != 0 {
+	if v := ln.Word(0x1008); v != 0 {
 		t.Fatalf("neighbor word changed to %d", v)
 	}
 }
 
-func TestWriteWordRequiresModified(t *testing.T) {
+func TestSetWordRequiresModified(t *testing.T) {
 	c := New(4, 2, bb)
 	c.Insert(0x1000, Shared, words(0))
 	defer func() {
@@ -150,7 +153,7 @@ func TestWriteWordRequiresModified(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.WriteWord(0x1000, 1)
+	c.Lookup(0x1000).SetWord(0x1000, 1)
 }
 
 func TestStateString(t *testing.T) {
@@ -231,8 +234,10 @@ func TestStatsAndAccessors(t *testing.T) {
 		t.Fatalf("BlockBytes = %d", c.BlockBytes())
 	}
 	c.Insert(0x1000, Shared, words(1)) // miss
-	c.Touch(0x1000)                    // hit
-	c.Touch(0x9999000)                 // absent: no hit counted
+	c.Hit(c.Lookup(0x1000), 0x1000)    // hit
+	if c.Lookup(0x9999000) != nil {    // absent: no hit counted
+		t.Fatal("absent block resident")
+	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 0 evictions", st)

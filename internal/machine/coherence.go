@@ -126,10 +126,8 @@ func (m *Machine) ReadWordCoherent(addr uint64) uint64 {
 		return v
 	}
 	for _, cpu := range m.CPUs {
-		if v, ok := cpu.Cache().ReadWord(addr); ok {
-			if ln := cpu.Cache().Lookup(addr); ln != nil && ln.State == cache.Modified {
-				return v
-			}
+		if ln := cpu.Cache().Lookup(addr); ln != nil && ln.State == cache.Modified {
+			return ln.Word(addr)
 		}
 	}
 	return m.Mem.ReadWord(addr)

@@ -133,11 +133,8 @@ func TestLLSCContendedCountsCorrectly(t *testing.T) {
 // CPU cache for a Modified copy, falling back to memory.
 func readCoherent(m *Machine, addr uint64) uint64 {
 	for _, c := range m.CPUs {
-		if v, ok := c.Cache().ReadWord(addr); ok {
-			ln := c.Cache().Lookup(addr)
-			if ln != nil && ln.State.String() == "M" {
-				return v
-			}
+		if ln := c.Cache().Lookup(addr); ln != nil && ln.State.String() == "M" {
+			return ln.Word(addr)
 		}
 	}
 	return m.Mem.ReadWord(addr)

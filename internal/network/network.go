@@ -40,8 +40,11 @@ type Network struct {
 	headerSize int
 
 	// hopTable[a*nodes+b] is topo.Hops(a, b), precomputed so Send never
-	// crosses the topology interface.
-	hopTable []int32
+	// crosses the topology interface. Two bytes an entry keep the table of
+	// a 512-node machine at half a megabyte; no topology comes near 65535
+	// hops (a fat tree's longest path is 2·levels, a torus's
+	// width/2 + height/2).
+	hopTable []uint16
 	nodes    int
 
 	hubs []Handler
@@ -130,7 +133,7 @@ func New(eng sim.Engine, topo topology.Topology, p Params) *Network {
 		busCycles:  p.BusCycles,
 		minPacket:  p.MinPacket,
 		headerSize: p.HeaderSize,
-		hopTable:   make([]int32, nodes*nodes),
+		hopTable:   make([]uint16, nodes*nodes),
 		nodes:      nodes,
 		hubs:       make([]Handler, nodes),
 		engs:       make([]sim.Engine, nodes),
@@ -139,7 +142,7 @@ func New(eng sim.Engine, topo topology.Topology, p Params) *Network {
 	}
 	for a := 0; a < nodes; a++ {
 		for b := 0; b < nodes; b++ {
-			n.hopTable[a*nodes+b] = int32(topo.Hops(a, b))
+			n.hopTable[a*nodes+b] = uint16(topo.Hops(a, b))
 		}
 	}
 	for node := 0; node < nodes; node++ {

@@ -370,31 +370,31 @@ func (c *CPU) applyCacheReply(m network.Msg) {
 	default:
 		panic(fmt.Sprintf("proc: cpu %d cache reply with kind %v", c.p.ID, m.Kind))
 	}
+	ln := c.c.Lookup(op.addr)
+	if ln == nil {
+		panic(fmt.Sprintf("proc: cpu %d cache reply without line", c.p.ID))
+	}
 	switch op.kind {
 	case opLoad, opLoadLinked:
-		v, ok := c.c.ReadWord(op.addr)
-		if !ok {
-			panic("proc: load reply without line")
-		}
-		op.result = v
+		op.result = ln.Word(op.addr)
 		if op.kind == opLoadLinked {
 			c.linkAddr = block
 			c.linkValid = true
 		}
 	case opStore:
-		c.c.WriteWord(op.addr, op.val)
+		ln.SetWord(op.addr, op.val)
 	case opStoreConditional:
 		if c.linkValid && c.linkAddr == block {
-			c.c.WriteWord(op.addr, op.val)
+			ln.SetWord(op.addr, op.val)
 			op.ok = true
 			c.linkValid = false
 		} else {
 			op.ok = false
 		}
 	case opAtomicRMW:
-		v, _ := c.c.ReadWord(op.addr)
+		v := ln.Word(op.addr)
 		op.result = v
-		c.c.WriteWord(op.addr, op.rmw.Apply(v, op.val, op.aux))
+		ln.SetWord(op.addr, op.rmw.Apply(v, op.val, op.aux))
 	default:
 		panic(fmt.Sprintf("proc: cpu %d cache reply with no operation in flight (kind %d)", c.p.ID, int(op.kind)))
 	}
@@ -638,13 +638,12 @@ func (c *CPU) Load(addr uint64) uint64 {
 	}
 	c.sleep(&c.cyc.Compute, c.p.IssueCycles)
 	for {
-		if ln := c.c.Lookup(addr); ln != nil {
+		if c.c.Lookup(addr) != nil {
 			c.sleep(&c.cyc.Compute, c.p.L1HitCycles)
 			// Re-check after the hit latency: an invalidation may have
 			// raced in while we slept.
-			if v, ok := c.c.ReadWord(addr); ok {
-				c.c.Touch(addr)
-				return v
+			if ln := c.c.Lookup(addr); ln != nil {
+				return c.c.Hit(ln, addr)
 			}
 			continue
 		}
@@ -682,10 +681,9 @@ func (c *CPU) LoadLinked(addr uint64) uint64 {
 		if ln != nil && ln.State == cache.Modified {
 			c.sleep(&c.cyc.Compute, c.p.L1HitCycles)
 			if cur := c.c.Lookup(addr); cur != nil && cur.State == cache.Modified {
-				v, _ := c.c.ReadWord(addr)
 				c.linkAddr = c.block(addr)
 				c.linkValid = true
-				return v
+				return cur.Word(addr)
 			}
 			continue
 		}
@@ -718,7 +716,7 @@ func (c *CPU) Store(addr, val uint64) {
 		if ln != nil && ln.State == cache.Modified {
 			c.sleep(&c.cyc.Compute, c.p.L1HitCycles)
 			if cur := c.c.Lookup(addr); cur != nil && cur.State == cache.Modified {
-				c.c.WriteWord(addr, val)
+				cur.SetWord(addr, val)
 				return
 			}
 			continue
@@ -771,7 +769,7 @@ func (c *CPU) StoreConditional(addr, val uint64) bool {
 	if ln.State == cache.Modified {
 		c.sleep(&c.cyc.Compute, c.p.L1HitCycles)
 		if cur := c.c.Lookup(addr); cur != nil && cur.State == cache.Modified && c.linkValid && c.linkAddr == c.block(addr) {
-			c.c.WriteWord(addr, val)
+			cur.SetWord(addr, val)
 			c.linkValid = false
 			return true
 		}
@@ -825,8 +823,8 @@ func (c *CPU) atomicRMW(op core.Op, addr, operand, aux uint64) uint64 {
 		if ln != nil && ln.State == cache.Modified {
 			c.sleep(&c.cyc.Compute, c.p.AtomicOpCycles)
 			if cur := c.c.Lookup(addr); cur != nil && cur.State == cache.Modified {
-				v, _ := c.c.ReadWord(addr)
-				c.c.WriteWord(addr, op.Apply(v, operand, aux))
+				v := cur.Word(addr)
+				cur.SetWord(addr, op.Apply(v, operand, aux))
 				return v
 			}
 			continue
@@ -1057,10 +1055,11 @@ func (c *CPU) SpinUntil(addr uint64, pred func(uint64) bool) uint64 {
 		}
 		// Re-check the line after serving/sleeping: if it vanished, go load
 		// again rather than waiting for a wake that may never come.
-		if _, ok := c.c.ReadWord(addr); !ok {
+		ln := c.c.Lookup(addr)
+		if ln == nil {
 			continue
 		}
-		if cur, _ := c.c.ReadWord(addr); pred(cur) {
+		if cur := ln.Word(addr); pred(cur) {
 			return cur
 		}
 		c.waitLineEvents()

@@ -1,7 +1,10 @@
 package syncprim
 
 import (
+	"fmt"
 	"testing"
+
+	"amosim/internal/cache"
 
 	"amosim/internal/proc"
 	"amosim/internal/sim"
@@ -36,11 +39,18 @@ func TestTreeBarrierAMODebug(t *testing.T) {
 			t.Logf("root count mem=%d amuHolds=%v sharers=%v", m.Mem.ReadWord(tb.root), m.Dirs[0].AMUHolds(tb.root), m.Dirs[0].Sharers(tb.root))
 			t.Logf("g0 count mem=%d flag mem=%d", m.Mem.ReadWord(g0.count), m.Mem.ReadWord(g0.flag))
 			for id := 0; id < 4; id++ {
-				v, ok := m.CPUs[id].Cache().ReadWord(g0.flag)
-				r, rok := m.CPUs[id].Cache().ReadWord(tb.root)
-				t.Logf("cpu%d cached g0.flag=%d(%v) root=%d(%v)", id, v, ok, r, rok)
+				t.Logf("cpu%d cached g0.flag=%s root=%s", id, cachedWord(m.CPUs[id].Cache(), g0.flag), cachedWord(m.CPUs[id].Cache(), tb.root))
 			}
 		}
 		t.Fatalf("Run: %v", err)
 	}
+}
+
+// cachedWord renders the word at addr in c, or "-" when its block is not
+// resident.
+func cachedWord(c *cache.Cache, addr uint64) string {
+	if ln := c.Lookup(addr); ln != nil {
+		return fmt.Sprint(ln.Word(addr))
+	}
+	return "-"
 }

@@ -155,7 +155,7 @@ func exerciseLock(t *testing.T, m *machine.Machine, acquire func(c *proc.CPU) fu
 	got := m.Mem.ReadWord(shared)
 	for _, c := range m.CPUs {
 		if ln := c.Cache().Lookup(shared); ln != nil && ln.State.String() == "M" {
-			got, _ = c.Cache().ReadWord(shared)
+			got = ln.Word(shared)
 		}
 	}
 	if got != want {

@@ -5,17 +5,21 @@
 // hops separate two nodes — and exposes the tree structure for inspection.
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // FatTree is an immutable fat-tree topology over a set of leaf nodes.
 type FatTree struct {
 	nodes  int
 	radix  int
+	shift  int // log2(radix)
 	levels int // router levels above the leaves (>= 1 when nodes > 1)
 }
 
 // NewFatTree builds a fat tree connecting nodes leaves with routers of the
-// given radix. A single-node "tree" has no routers.
+// given radix, a power of two. A single-node "tree" has no routers.
 func NewFatTree(nodes, radix int) (*FatTree, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("topology: nodes must be positive, got %d", nodes)
@@ -23,11 +27,14 @@ func NewFatTree(nodes, radix int) (*FatTree, error) {
 	if radix < 2 {
 		return nil, fmt.Errorf("topology: radix must be >= 2, got %d", radix)
 	}
+	if radix&(radix-1) != 0 {
+		return nil, fmt.Errorf("topology: radix must be a power of two, got %d", radix)
+	}
 	levels := 0
 	for span := 1; span < nodes; span *= radix {
 		levels++
 	}
-	return &FatTree{nodes: nodes, radix: radix, levels: levels}, nil
+	return &FatTree{nodes: nodes, radix: radix, shift: bits.TrailingZeros(uint(radix)), levels: levels}, nil
 }
 
 // Nodes returns the leaf count.
@@ -47,16 +54,7 @@ func (t *FatTree) Hops(a, b int) int {
 	if a < 0 || a >= t.nodes || b < 0 || b >= t.nodes {
 		panic(fmt.Sprintf("topology: node out of range: Hops(%d, %d) with %d nodes", a, b, t.nodes))
 	}
-	if a == b {
-		return 0
-	}
-	hops := 0
-	for a != b {
-		a /= t.radix
-		b /= t.radix
-		hops += 2
-	}
-	return hops
+	return 2 * t.ancestorLevel(a, b)
 }
 
 // Diameter returns the maximum hop count between any two leaves.
@@ -68,11 +66,12 @@ func (t *FatTree) CommonAncestorLevel(a, b int) int {
 	if a < 0 || a >= t.nodes || b < 0 || b >= t.nodes {
 		panic(fmt.Sprintf("topology: node out of range: CommonAncestorLevel(%d, %d) with %d nodes", a, b, t.nodes))
 	}
-	level := 0
-	for a != b {
-		a /= t.radix
-		b /= t.radix
-		level++
-	}
-	return level
+	return t.ancestorLevel(a, b)
+}
+
+// ancestorLevel is the number of times a and b must be divided by the
+// radix to become equal: the levels their differing low bits span,
+// ceil(bits.Len(a^b) / log2(radix)).
+func (t *FatTree) ancestorLevel(a, b int) int {
+	return (bits.Len(uint(a^b)) + t.shift - 1) / t.shift
 }

@@ -15,6 +15,47 @@ func TestNewFatTreeErrors(t *testing.T) {
 	if _, err := NewFatTree(8, 1); err == nil {
 		t.Error("NewFatTree(8, 1) accepted")
 	}
+	for _, radix := range []int{3, 6, 12} {
+		if _, err := NewFatTree(8, radix); err == nil {
+			t.Errorf("NewFatTree(8, %d) accepted a radix that is not a power of two", radix)
+		}
+	}
+}
+
+// loopHops is the division loop Hops used before its closed form: climb
+// one router level per division until both nodes share an ancestor.
+func loopHops(radix, a, b int) int {
+	hops := 0
+	for a != b {
+		a /= radix
+		b /= radix
+		hops += 2
+	}
+	return hops
+}
+
+// TestHopsMatchesDivisionLoop checks the closed-form Hops and
+// CommonAncestorLevel against the division loop on every pair of nodes of
+// trees up to 2048 nodes, at every power-of-two radix up to 16.
+func TestHopsMatchesDivisionLoop(t *testing.T) {
+	const nodes = 2048 // every smaller tree's pairs are a subset
+	for _, radix := range []int{2, 4, 8, 16} {
+		ft, err := NewFatTree(nodes, radix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := 0; a < nodes; a++ {
+			for b := 0; b < nodes; b++ {
+				want := loopHops(radix, a, b)
+				if got := ft.Hops(a, b); got != want {
+					t.Fatalf("radix %d: Hops(%d, %d) = %d, want %d", radix, a, b, got, want)
+				}
+				if got := ft.CommonAncestorLevel(a, b); got != want/2 {
+					t.Fatalf("radix %d: CommonAncestorLevel(%d, %d) = %d, want %d", radix, a, b, got, want/2)
+				}
+			}
+		}
+	}
 }
 
 func TestLevels(t *testing.T) {
